@@ -128,6 +128,7 @@ fuzz:
 	go test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/transport
 	go test -fuzz=FuzzFountainRoundtrip -fuzztime=30s ./internal/fountain
 	go test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
+	go test -fuzz=FuzzReceiverIncremental -fuzztime=30s ./internal/core
 
 clean:
 	go clean ./...

@@ -49,6 +49,12 @@ type Receiver struct {
 	// trace, when attached via SetTrace, records decode events into the
 	// owning fetch's timeline.
 	trace *obs.Trace
+	// rawOff and cookedOff hold each generation's first raw and cooked
+	// index plus a final total, so generation offsets are O(1) reads.
+	rawOff, cookedOff []int
+	// view is the progressive-rendering state, kept current by every
+	// path that makes raw packets usable (render.go).
+	view renderState
 }
 
 // NewReceiver returns an empty receiver for the plan's layout.
@@ -66,11 +72,18 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 		return nil, err
 	}
 	r := &Receiver{
-		layout:  layout,
-		intact:  make(map[int][]byte),
-		perGen:  make([]int, len(layout.Shapes)),
-		decoded: make([][][]byte, len(layout.Shapes)),
+		layout:    layout,
+		intact:    make(map[int][]byte),
+		perGen:    make([]int, len(layout.Shapes)),
+		decoded:   make([][][]byte, len(layout.Shapes)),
+		rawOff:    make([]int, len(layout.Shapes)+1),
+		cookedOff: make([]int, len(layout.Shapes)+1),
 	}
+	for g, s := range layout.Shapes {
+		r.rawOff[g+1] = r.rawOff[g] + s.M
+		r.cookedOff[g+1] = r.cookedOff[g] + s.N
+	}
+	r.view = newRenderState(layout)
 	if layout.Codec == erasure.CodecFountain {
 		r.fdec = make([]*fountain.Decoder, len(layout.Shapes))
 		for i, s := range layout.Shapes {
@@ -116,13 +129,30 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	if _, dup := r.intact[seq]; dup {
 		return nil
 	}
-	g, _, _, err := r.layout.genBounds(seq)
-	if err != nil {
-		return err
-	}
+	g := r.cookedGen(seq)
 	r.intact[seq] = append([]byte(nil), payload...)
 	r.perGen[g]++
+	m := r.layout.Shapes[g].M
+	if local := seq - r.cookedOff[g]; local < m {
+		r.view.markAvailable(r.rawOff[g] + local) // a clear-text row
+	}
+	if r.perGen[g] == m {
+		// The generation just became decodable: every raw packet is usable.
+		for i := r.rawOff[g]; i < r.rawOff[g+1]; i++ {
+			r.view.markAvailable(i)
+		}
+	}
 	return nil
+}
+
+// cookedGen returns the generation of an in-range cooked seq.
+func (r *Receiver) cookedGen(seq int) int {
+	return sort.SearchInts(r.cookedOff, seq+1) - 1
+}
+
+// rawGen returns the generation of an in-range raw packet index.
+func (r *Receiver) rawGen(rawIdx int) int {
+	return sort.SearchInts(r.rawOff, rawIdx+1) - 1
 }
 
 // addFountain records a rateless packet under its packed seq and feeds
@@ -146,6 +176,11 @@ func (r *Receiver) addFountain(packed int, payload []byte) error {
 	if _, err := r.fdec[g].Add(seq, own); err != nil {
 		return err
 	}
+	// Peeled symbols are usable before the generation completes — this
+	// is where UEP pays off, since high-IC symbols peel first.
+	for _, i := range r.fdec[g].LastRecovered() {
+		r.view.markAvailable(r.rawOff[g] + i)
+	}
 	if !wasDone && r.fdec[g].Complete() {
 		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
 	}
@@ -157,6 +192,8 @@ func (r *Receiver) addFountain(packed int, payload []byte) error {
 // sequence number and whether the packet was intact. Truncated frames
 // return an error. The frame buffer may be reused by the caller: Parse
 // only borrows it, and Add copies the payload.
+//
+//mobweb:hot per-frame entry of the client receive loop
 func (r *Receiver) AddFrame(frame []byte) (seq int, intact bool, err error) {
 	if r.fdec != nil {
 		return r.addFountainFrame(frame)
@@ -253,6 +290,7 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 				return nil, err
 			}
 		}
+		nr.view.inheritTaken(&r.view)
 		return nr, nil
 	}
 	nr, err := NewReceiverFromLayout(newLayout)
@@ -260,25 +298,17 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 		return nil, err
 	}
 	nr.trace = r.trace // the rebased receiver keeps feeding the same fetch timeline
-	newCookedOff := make([]int, len(newLayout.Shapes))
-	off := 0
-	for g, s := range newLayout.Shapes {
-		newCookedOff[g] = off
-		off += s.N
-	}
 	for seq, payload := range r.intact {
-		g, _, cookedOff, err := old.genBounds(seq)
-		if err != nil {
-			return nil, err
-		}
-		local := seq - cookedOff
+		g := r.cookedGen(seq)
+		local := seq - r.cookedOff[g]
 		if local >= newLayout.Shapes[g].N {
 			continue
 		}
-		if err := nr.Add(newCookedOff[g]+local, payload); err != nil {
+		if err := nr.Add(nr.cookedOff[g]+local, payload); err != nil {
 			return nil, err
 		}
 	}
+	nr.view.inheritTaken(&r.view)
 	return nr, nil
 }
 
@@ -306,6 +336,7 @@ func (r *Receiver) Reset() {
 		}
 		r.fdec[i] = dec
 	}
+	r.view.reset()
 }
 
 // decodeGeneration returns generation g's raw packets, decoding on first
@@ -368,31 +399,21 @@ func (r *Receiver) Reconstructible() bool {
 
 // generationIntact returns the intact packets belonging to generation g
 // as local-index erasure.Received values.
+//
+// The set is built in ascending local index, never in map order: Decode
+// prefers clear rows but fills the remainder with redundant rows in input
+// order, so an unordered set would vary the chosen row set — and with it
+// the inversion-cache key and the work profile — run to run.
 func (r *Receiver) generationIntact(g int) []erasure.Received {
-	_, _, cookedOff := r.genOffsets(g)
+	cookedOff := r.cookedOff[g]
 	shape := r.layout.Shapes[g]
 	out := make([]erasure.Received, 0, shape.M)
-	for seq, payload := range r.intact {
-		if seq >= cookedOff && seq < cookedOff+shape.N {
-			out = append(out, erasure.Received{Index: seq - cookedOff, Data: payload})
+	for local := 0; local < shape.N; local++ {
+		if payload, ok := r.intact[cookedOff+local]; ok {
+			out = append(out, erasure.Received{Index: local, Data: payload})
 		}
 	}
-	// Map iteration order must not leak into the decode: Decode prefers
-	// clear rows but fills the remainder with redundant rows in input
-	// order, so an unsorted set varies the chosen row set — and with it
-	// the inversion-cache key and the work profile — run to run.
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
-}
-
-// genOffsets returns (gen, rawOff, cookedOff) cumulative offsets for
-// generation g.
-func (r *Receiver) genOffsets(g int) (gen, rawOff, cookedOff int) {
-	for i := 0; i < g; i++ {
-		rawOff += r.layout.Shapes[i].M
-		cookedOff += r.layout.Shapes[i].N
-	}
-	return g, rawOff, cookedOff
 }
 
 // Reconstruct decodes all generations and returns the document body in
@@ -420,173 +441,32 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 	return out, nil
 }
 
-// rawAvailable computes, per raw packet, whether its bytes are usable:
-// either the packet arrived in clear text, or its whole generation is
-// reconstructible.
-func (r *Receiver) rawAvailable() []bool {
-	avail := make([]bool, r.layout.M())
-	rawOff := 0
-	for g, shape := range r.layout.Shapes {
-		switch {
-		case r.fdec != nil && r.seededGen(g):
-			// Store-seeded fountain generation: every symbol restored.
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = true
-			}
-		case r.fdec != nil:
-			// The peeling decoder recovers symbols before completion;
-			// each recovered symbol's bytes are usable immediately —
-			// this is where UEP pays off, since high-IC symbols peel
-			// first.
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = r.fdec[g].Recovered(i)
-			}
-		case r.GenerationReconstructible(g):
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = true
-			}
-		}
-		rawOff += shape.M
-	}
-	for seq := range r.intact {
-		if rawIdx := r.layout.clearRawIndex(seq); rawIdx >= 0 {
-			avail[rawIdx] = true
-		}
-	}
-	return avail
-}
-
-// segAvailable reports whether every raw packet covering the segment is
-// available.
-func segAvailable(seg SegmentMeta, avail []bool, sp int) bool {
-	if seg.Length == 0 {
-		return true
-	}
-	first := seg.PermutedOff / sp
-	last := (seg.PermutedOff + seg.Length - 1) / sp
-	for pkt := first; pkt <= last; pkt++ {
-		if pkt >= len(avail) || !avail[pkt] {
-			return false
-		}
-	}
-	return true
-}
-
-// InfoContent returns the accrued information content: the score sum of
-// all paragraph-level units whose bytes are fully available. Once every
-// generation is reconstructible this is 1 (the document is complete).
-func (r *Receiver) InfoContent() float64 {
-	avail := r.rawAvailable()
-	sp := r.layout.PacketSize
-	total := 0.0
-	for _, seg := range r.layout.Accrual {
-		if segAvailable(seg, avail, sp) {
-			total += seg.Score
-		}
-	}
-	return total
-}
-
-// AvailableUnits returns the paragraph segments whose content is fully
-// available, in transmission order — exactly what the rendering manager
-// can already display.
-func (r *Receiver) AvailableUnits() []SegmentMeta {
-	avail := r.rawAvailable()
-	sp := r.layout.PacketSize
-	var out []SegmentMeta
-	for _, seg := range r.layout.Accrual {
-		if segAvailable(seg, avail, sp) {
-			out = append(out, seg)
-		}
-	}
-	return out
-}
-
-// UnitText extracts a segment's text from available packets. It returns
-// ok=false when the segment is not yet fully available.
-func (r *Receiver) UnitText(seg SegmentMeta) (string, bool) {
-	avail := r.rawAvailable()
-	sp := r.layout.PacketSize
-	if !segAvailable(seg, avail, sp) {
-		return "", false
-	}
-	buf := make([]byte, seg.Length)
-	for off := 0; off < seg.Length; {
-		pos := seg.PermutedOff + off
-		rawIdx := pos / sp
-		within := pos % sp
-		chunk := sp - within
-		if chunk > seg.Length-off {
-			chunk = seg.Length - off
-		}
-		data, ok := r.rawBytes(rawIdx)
-		if !ok {
-			return "", false
-		}
-		copy(buf[off:off+chunk], data[within:within+chunk])
-		off += chunk
-	}
-	return string(buf), true
-}
-
 // rawBytes returns raw packet rawIdx's bytes from clear text or a decoded
 // generation — or, under the fountain codec, from the generation
 // decoder's incrementally recovered symbols.
 func (r *Receiver) rawBytes(rawIdx int) ([]byte, bool) {
-	rawOff, cookedOff := 0, 0
-	for g, shape := range r.layout.Shapes {
-		if rawIdx >= rawOff+shape.M {
-			rawOff += shape.M
-			cookedOff += shape.N
-			continue
+	g := r.rawGen(rawIdx)
+	local := rawIdx - r.rawOff[g]
+	if r.fdec != nil {
+		if r.seededGen(g) {
+			return r.decoded[g][local], true
 		}
-		if r.fdec != nil {
-			if r.seededGen(g) {
-				return r.decoded[g][rawIdx-rawOff], true
-			}
-			if sym := r.fdec[g].Symbol(rawIdx - rawOff); sym != nil {
-				return sym, true
-			}
-			return nil, false
+		if sym := r.fdec[g].Symbol(local); sym != nil {
+			return sym, true
 		}
-		seq := cookedOff + (rawIdx - rawOff)
-		if payload, ok := r.intact[seq]; ok {
-			return payload, true
-		}
-		if !r.GenerationReconstructible(g) {
-			return nil, false
-		}
-		raw, err := r.decodeGeneration(g)
-		if err != nil {
-			return nil, false
-		}
-		return raw[rawIdx-rawOff], true
+		return nil, false
 	}
-	return nil, false
-}
-
-// RenderedUnit pairs an available unit with its text, for progressive
-// rendering by a client ("the client renders each organizational unit
-// incrementally at the proper position in the browsing window", §3.3).
-type RenderedUnit struct {
-	// Segment is the unit's layout segment.
-	Segment SegmentMeta
-	// Text is the unit's body text.
-	Text string
-}
-
-// Render returns every fully-available unit with its text, in
-// transmission order.
-func (r *Receiver) Render() []RenderedUnit {
-	var out []RenderedUnit
-	for _, seg := range r.AvailableUnits() {
-		text, ok := r.UnitText(seg)
-		if !ok {
-			continue
-		}
-		out = append(out, RenderedUnit{Segment: seg, Text: text})
+	if payload, ok := r.intact[r.cookedOff[g]+local]; ok {
+		return payload, true
 	}
-	return out
+	if !r.GenerationReconstructible(g) {
+		return nil, false
+	}
+	raw, err := r.decodeGeneration(g)
+	if err != nil {
+		return nil, false
+	}
+	return raw[local], true
 }
 
 // Missing returns the sequence numbers not yet held intact, which a

@@ -83,11 +83,13 @@ func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 		}
 		r.decoded[g] = own
 		r.seeded[g] = true
+		for i := r.rawOff[g]; i < r.rawOff[g+1]; i++ {
+			r.view.markAvailable(i)
+		}
 		return nil
 	}
-	_, _, cookedOff := r.genOffsets(g)
 	for i, p := range own {
-		if err := r.Add(cookedOff+i, p); err != nil {
+		if err := r.Add(r.cookedOff[g]+i, p); err != nil {
 			return err
 		}
 	}

@@ -33,6 +33,9 @@ type Decoder struct {
 	nRec      int
 	pending   []pendRow
 	seen      map[int]bool
+	// recent lists the symbols the latest Add recovered, reusing its
+	// backing array so reporting them allocates nothing per packet.
+	recent    []int
 	received  int // distinct useful seqs consumed before completion
 	usedGauss bool
 	complete  bool
@@ -74,6 +77,12 @@ func (d *Decoder) Recovered(i int) bool {
 // RecoveredCount returns how many source symbols are recovered so far.
 func (d *Decoder) RecoveredCount() int { return d.nRec }
 
+// LastRecovered returns the source symbol indices the most recent Add
+// recovered, in recovery order — what a receiver needs to keep its
+// per-symbol availability current without rescanning all k symbols.
+// The slice is reused by the next Add; callers must not keep it.
+func (d *Decoder) LastRecovered() []int { return d.recent }
+
 // Received returns how many distinct cooked packets were consumed
 // before completion; received − k is the reception overhead.
 func (d *Decoder) Received() int { return d.received }
@@ -98,6 +107,7 @@ func (d *Decoder) Add(seq int, payload []byte) (int, error) {
 	if len(payload) != d.size {
 		return 0, fmt.Errorf("fountain: payload %d bytes, want %d", len(payload), d.size)
 	}
+	d.recent = d.recent[:0]
 	if d.complete || d.seen[seq] {
 		return 0, nil
 	}
@@ -152,6 +162,7 @@ func (d *Decoder) recoverFrom(row pendRow) {
 		sym := make([]byte, d.size)
 		gf256.MulSlice(gf256.Inv(r.coeffs[0]), sym, r.data)
 		d.recovered[j] = sym
+		d.recent = append(d.recent, j)
 		d.nRec++
 		fountainMetrics.peelRecovered.Inc()
 
@@ -240,6 +251,7 @@ func (d *Decoder) tryGaussian() {
 		sym := make([]byte, d.size)
 		gf256.MulAddRows(entry.inv.Row(t), sym, dataRows)
 		d.recovered[j] = sym
+		d.recent = append(d.recent, j)
 		d.nRec++
 		fountainMetrics.gaussRecovered.Inc()
 	}

@@ -296,6 +296,47 @@ func TestDuplicateAndLateAdds(t *testing.T) {
 	checkDecoded(t, dec, src)
 }
 
+// TestLastRecoveredReportsEachSymbolOnce checks the incremental
+// recovery report a receiver keeps its availability bitmap with: across
+// every Add — peeling, Gaussian completion, duplicates and late adds —
+// LastRecovered names each newly recovered symbol exactly once, and the
+// count matches Add's return value.
+func TestLastRecoveredReportsEachSymbolOnce(t *testing.T) {
+	for _, k := range []int{1, 7, 40} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		src := randomSymbols(rng, k, 16)
+		enc, _ := NewEncoder(1, 9, src, nil)
+		dec, _ := NewDecoder(1, 9, k, 16, nil)
+		reported := make([]bool, k)
+		for seq := 0; seq < 3*k+20; seq++ {
+			if rng.Float64() < 0.3 {
+				continue
+			}
+			n, err := dec.Add(seq, enc.Payload(seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(dec.LastRecovered()); got != n {
+				t.Fatalf("k=%d seq %d: Add recovered %d, LastRecovered lists %d", k, seq, n, got)
+			}
+			for _, i := range dec.LastRecovered() {
+				if reported[i] || !dec.Recovered(i) {
+					t.Fatalf("k=%d seq %d: symbol %d reported twice or not recovered", k, seq, i)
+				}
+				reported[i] = true
+			}
+			if _, err := dec.Add(seq, enc.Payload(seq)); err != nil || len(dec.LastRecovered()) != 0 {
+				t.Fatalf("k=%d seq %d: duplicate Add reported recoveries", k, seq)
+			}
+		}
+		for i := range reported {
+			if reported[i] != dec.Recovered(i) {
+				t.Fatalf("k=%d: symbol %d recovered=%v but reported=%v", k, i, dec.Recovered(i), reported[i])
+			}
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	src := [][]byte{{1, 2}, {3, 4}}
 	if _, err := NewEncoder(0, 1, nil, nil); err == nil {

@@ -477,6 +477,16 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		}
 		return err
 	}
+	// end completes a stream: the fetch is logged before the terminator
+	// is written, so a client that has read its end of stream always
+	// finds the fetch in the front's log.
+	end := func() error {
+		finish(nil)
+		if err := transport.WriteEndOfStream(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	}
 
 	// Two passes over the ring order: the second pass retries replicas
 	// that failed on the first (a replica restarting mid-drill), with
@@ -555,7 +565,7 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		done, relayErr := f.relayFrames(clientConn, w, rc, requests, relayed, &stopped, &sent)
 		rc.close()
 		if done {
-			return finish(nil)
+			return end()
 		}
 		if relayErr != nil {
 			// The client side failed (write error, connection gone, or a
@@ -571,13 +581,7 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		if stopped {
 			// The client already asked to stop; it needs no more frames,
 			// just the terminator.
-			if err := transport.WriteEndOfStream(w); err != nil {
-				return finish(err)
-			}
-			if err := w.Flush(); err != nil {
-				return finish(err)
-			}
-			return finish(nil)
+			return end()
 		}
 	}
 
@@ -597,7 +601,8 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 }
 
 // relayFrames pumps one replica stream to the client. It returns
-// done=true when the replica's end-of-stream terminator was relayed. A
+// done=true when the replica's end-of-stream terminator arrived; the
+// caller writes the client's terminator. A
 // nil error with done=false means the replica leg failed and the caller
 // should re-route; a non-nil error means the client leg failed and the
 // stream is unsalvageable.
@@ -632,12 +637,6 @@ func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaCon
 			return false, nil // replica leg died: re-route
 		}
 		if frame == nil {
-			if err := transport.WriteEndOfStream(w); err != nil {
-				return false, err
-			}
-			if err := w.Flush(); err != nil {
-				return false, err
-			}
 			return true, nil
 		}
 		frameBuf = frame

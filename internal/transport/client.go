@@ -644,7 +644,6 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	cm := c.metrics()
 	tr := opts.Trace
 	var rcv *core.Receiver
-	seen := make(map[int]bool) // rendered units by permuted offset
 	shape := fetchShape(opts)
 	fromPrefetch := false
 
@@ -655,6 +654,9 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 		fromPrefetch = true
 		result.PrefetchedPackets = rcv.IntactCount()
 		delete(c.prefetched, opts.Doc)
+		// A receiver re-primed by a failed fetch already handed its units
+		// to that fetch's OnProgress; this fetch renders them afresh.
+		rcv.RewindNewUnits()
 		rcv.SetTrace(tr)
 		tr.Record(obs.Event{Type: obs.EventPrefetch, N: result.PrefetchedPackets})
 		// A fully-primed receiver needs no network at all.
@@ -712,7 +714,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 			rctx, cancel = context.WithTimeout(ctx, opts.RoundTimeout)
 		}
 		recBefore, corBefore := result.PacketsReceived, result.PacketsCorrupted
-		newRcv, done, err := c.runRound(rctx, opts, gamma, rcv, result, seen, noCaching)
+		newRcv, done, err := c.runRound(rctx, opts, gamma, rcv, result, noCaching)
 		cancel()
 		rcv = newRcv
 		// Drain the round's packets to the store whatever happened next:
@@ -784,7 +786,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 // (with the Have list when caching), read the layout header, and consume
 // the packet stream until termination or end-of-stream. It returns the
 // (possibly rebuilt) receiver so callers keep it across failures.
-func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64, rcv *core.Receiver, result *FetchResult, seen map[int]bool, noCaching bool) (*core.Receiver, bool, error) {
+func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64, rcv *core.Receiver, result *FetchResult, noCaching bool) (*core.Receiver, bool, error) {
 	defer c.armInterrupt(ctx)()
 	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: gamma}
 	if opts.LOD != 0 {
@@ -861,7 +863,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	} else if noCaching {
 		rcv.Reset()
 	}
-	done, err := c.consumeStream(ctx, rcv, opts, result, seen)
+	done, err := c.consumeStream(ctx, rcv, opts, result)
 	return rcv, done, err
 }
 
@@ -1096,7 +1098,7 @@ func (c *Client) primeReceiver(doc, shape string, rcv *core.Receiver) {
 
 // consumeStream reads frames until termination or end-of-stream. It
 // returns done=true when a §4.2 termination condition fired.
-func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult, seen map[int]bool) (bool, error) {
+func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult) (bool, error) {
 	terminatedEarly := false
 	cm := c.metrics()
 	// On a fountain stream the client closes the loop per generation: the
@@ -1160,13 +1162,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		if opts.OnProgress != nil {
 			prog := Progress{Seq: seq, Intact: intact, InfoContent: rcv.InfoContent()}
 			if intact {
-				for _, u := range rcv.Render() {
-					if seen[u.Segment.PermutedOff] {
-						continue
-					}
-					seen[u.Segment.PermutedOff] = true
-					prog.NewUnits = append(prog.NewUnits, u)
-				}
+				// The receiver hands out each unit once per fetch, across
+				// NoCaching resets and γ rebases alike.
+				prog.NewUnits = rcv.TakeNewUnits()
 			}
 			opts.OnProgress(prog)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobweb/internal/channel"
+	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/planner"
 )
@@ -183,10 +184,30 @@ func TestPerConnectionInjectorFactory(t *testing.T) {
 }
 
 // TestGenerationBoundaryRowsServeFromCache forces multiple small
-// generations and fetches everything twice: the second pass must be all
-// hits, including the first and last row of every generation.
+// generations, cooks every row of every generation — first and last rows
+// included — through the server's own planner, then fetches twice: the
+// fetches must cook nothing new and the repeat must be served from hits.
+// Cooking up front keeps the result independent of how far past the stop
+// signal the server streamed on the first pass, which decides which rows
+// a fetch alone would have cooked.
 func TestGenerationBoundaryRowsServeFromCache(t *testing.T) {
-	client, srv := startServerHandle(t, ServerOptions{})
+	pl, err := planner.New(corpusEngine(t), planner.Options{Defaults: core.Config{MaxGeneration: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := pl.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := resolved.Plan.Generations(); g < 2 {
+		t.Fatalf("plan has %d generation, want several", g)
+	}
+	for seq := 0; seq < resolved.Plan.N(); seq++ {
+		if _, err := resolved.Frame(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, srv := startServerHandle(t, ServerOptions{Planner: pl})
 	fetch := func() []byte {
 		t.Helper()
 		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true})
