@@ -65,9 +65,10 @@ cover:
 		if ($$3 + 0 < floor) { printf "FAIL: coverage %.1f%% below floor %s%%\n", $$3, floor; exit 1 } \
 		printf "coverage %.1f%% meets floor %s%%\n", $$3, floor }'
 
-# Erasure-codec kernel matrix (kernels × M × packet size, plus the
-# parallel worker sweep): machine-readable BENCH_erasure.json at the repo
-# root and the human table under results/. See DESIGN.md §10.
+# Erasure-codec matrix on the table kernel (M × packet size, plus the
+# kernel micro-ops and the parallel worker sweep): machine-readable
+# BENCH_erasure.json at the repo root and the human table under
+# results/. See DESIGN.md §10.
 bench-json:
 	go run ./cmd/erasurebench -json BENCH_erasure.json -txt results/erasure-kernel-bench.txt
 

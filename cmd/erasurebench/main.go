@@ -1,14 +1,15 @@
-// Command erasurebench measures erasure-codec throughput across the
-// pluggable GF(2^8) kernels and writes the results as JSON (for machines)
-// and a plain-text table (for humans and the results/ directory).
+// Command erasurebench measures erasure-codec throughput on the GF(2^8)
+// table kernel and writes the results as JSON (for machines) and a
+// plain-text table (for humans and the results/ directory).
 //
-// The matrix is kernels × M ∈ {4, 16, 64} × packet sizes {256 B, 1 KiB,
-// 4 KiB} at the paper's default redundancy γ = 1.5. Encode throughput
-// covers the full cook (clear copy + parity); decode throughput forces a
-// worst-case reconstruction that uses every parity packet. A second
-// section holds per-kernel micro numbers (MulAddSlice and the fused
-// MulAddRows gather on 4 KiB), and a third sweeps the parallel worker
-// count on the largest shape.
+// The matrix is M ∈ {4, 16, 64} × packet sizes {256 B, 1 KiB, 4 KiB} at
+// the paper's default redundancy γ = 1.5. Encode throughput covers the
+// full cook (clear copy + parity); decode throughput forces a worst-case
+// reconstruction that uses every parity packet. A second section holds
+// the kernel's micro numbers (MulAddSlice and the fused MulAddRows
+// gather on 4 KiB), and a third sweeps the parallel worker count on the
+// largest shape. `go test -bench . ./internal/gf256` times the kernel
+// against its log/exp oracle.
 //
 // Usage:
 //
@@ -38,9 +39,8 @@ var (
 	sizes = []int{256, 1024, 4096}
 )
 
-// cell is one (kernel, shape, size) measurement.
+// cell is one (shape, size) measurement.
 type cell struct {
-	Kernel     string  `json:"kernel"`
 	M          int     `json:"m"`
 	N          int     `json:"n"`
 	PacketSize int     `json:"packet_size"`
@@ -48,9 +48,8 @@ type cell struct {
 	DecodeMBps float64 `json:"decode_mbps"`
 }
 
-// microCell is one kernel-level slice-op measurement on 4 KiB payloads.
+// microCell is the kernel's slice-op measurement on 4 KiB payloads.
 type microCell struct {
-	Kernel          string  `json:"kernel"`
 	PayloadBytes    int     `json:"payload_bytes"`
 	MulAddMBps      float64 `json:"muladd_mbps"`
 	MulAddRows4MBps float64 `json:"muladd_rows4_mbps"`
@@ -65,15 +64,14 @@ type workerCell struct {
 }
 
 type report struct {
-	GOOS           string       `json:"goos"`
-	GOARCH         string       `json:"goarch"`
-	NumCPU         int          `json:"num_cpu"`
-	GOMAXPROCS     int          `json:"gomaxprocs"`
-	SelectedKernel string       `json:"selected_kernel"`
-	Gamma          float64      `json:"gamma"`
-	Codec          []cell       `json:"codec"`
-	Micro          []microCell  `json:"micro"`
-	Workers        []workerCell `json:"workers"`
+	GOOS       string       `json:"goos"`
+	GOARCH     string       `json:"goarch"`
+	NumCPU     int          `json:"num_cpu"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Gamma      float64      `json:"gamma"`
+	Codec      []cell       `json:"codec"`
+	Micro      microCell    `json:"micro"`
+	Workers    []workerCell `json:"workers"`
 }
 
 func main() {
@@ -107,52 +105,34 @@ func run(args []string) error {
 		return runFountain(cfg, *jsonPath, *txtPath)
 	}
 
-	selected := gf256.KernelName() // what calibration picked before we override
 	rep := report{
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		NumCPU:         runtime.NumCPU(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		SelectedKernel: selected,
-		Gamma:          gamma,
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Gamma:      gamma,
 	}
 	bench := func(f func()) float64 { return secondsPerOp(f, *iters, *minTime) }
 
-	micro, err := measureMicroAll(bench)
-	if err != nil {
-		return err
-	}
-	rep.Micro = micro
-	for _, kname := range gf256.KernelNames() {
-		if err := gf256.SetKernel(kname); err != nil {
-			return err
-		}
-		for _, m := range ms {
-			for _, size := range sizes {
-				c, err := measureCodec(kname, m, size, bench)
-				if err != nil {
-					return err
-				}
-				rep.Codec = append(rep.Codec, c)
+	rep.Micro = measureMicro(bench)
+	for _, m := range ms {
+		for _, size := range sizes {
+			c, err := measureCodec(m, size, bench)
+			if err != nil {
+				return err
 			}
+			rep.Codec = append(rep.Codec, c)
 		}
 	}
-
-	// Worker sweep on the heaviest shape with the selected kernel. On a
-	// single-core host the >1 rows are overhead measurements, not
-	// speedups; the table header records GOMAXPROCS so readers can tell.
-	if err := gf256.SetKernel(selected); err != nil {
-		return err
-	}
+	// Worker sweep on the heaviest shape. On a single-core host the >1
+	// rows are overhead measurements, not speedups; the table header
+	// records GOMAXPROCS so readers can tell.
 	for _, w := range []int{1, 2, 4} {
 		wc, err := measureWorkers(w, 64, 4096, bench)
 		if err != nil {
 			return err
 		}
 		rep.Workers = append(rep.Workers, wc)
-	}
-	if err := gf256.SetKernel("auto"); err != nil {
-		return err
 	}
 
 	var out strings.Builder
@@ -217,12 +197,9 @@ func mbps(bytes int, secs float64) float64 {
 	return float64(bytes) / secs / 1e6
 }
 
-// measureMicroAll interleaves the kernels round-robin across several
-// rounds and keeps the per-kernel minimum, so the kernel-to-kernel
-// ratios are measured back-to-back instead of minutes apart — on a
-// shared host, sequential cells see different neighbors and the ratio
-// drifts far more than the individual numbers.
-func measureMicroAll(bench func(func()) float64) ([]microCell, error) {
+// measureMicro times the kernel's two-operand axpy and its fused
+// four-row gather on 4 KiB payloads.
+func measureMicro(bench func(func()) float64) microCell {
 	const payload = 4096
 	dst := make([]byte, payload)
 	srcs := make([][]byte, 4)
@@ -233,37 +210,14 @@ func measureMicroAll(bench func(func()) float64) ([]microCell, error) {
 		}
 	}
 	coeffs := []byte{0x1d, 0x8e, 0x47, 0xad}
-	names := gf256.KernelNames()
-	pair := make([]float64, len(names))
-	rows := make([]float64, len(names))
-	for round := 0; round < 3; round++ {
-		for i, kname := range names {
-			if err := gf256.SetKernel(kname); err != nil {
-				return nil, err
-			}
-			p := bench(func() { gf256.MulAddSlice(0x8e, dst, srcs[0]) })
-			r := bench(func() { gf256.MulAddRows(coeffs, dst, srcs) })
-			if round == 0 || p < pair[i] {
-				pair[i] = p
-			}
-			if round == 0 || r < rows[i] {
-				rows[i] = r
-			}
-		}
+	return microCell{
+		PayloadBytes:    payload,
+		MulAddMBps:      mbps(payload, bench(func() { gf256.MulAddSlice(0x8e, dst, srcs[0]) })),
+		MulAddRows4MBps: mbps(len(srcs)*payload, bench(func() { gf256.MulAddRows(coeffs, dst, srcs) })),
 	}
-	cells := make([]microCell, len(names))
-	for i, kname := range names {
-		cells[i] = microCell{
-			Kernel:          kname,
-			PayloadBytes:    payload,
-			MulAddMBps:      mbps(payload, pair[i]),
-			MulAddRows4MBps: mbps(len(srcs)*payload, rows[i]),
-		}
-	}
-	return cells, nil
 }
 
-func measureCodec(kname string, m, size int, bench func(func()) float64) (cell, error) {
+func measureCodec(m, size int, bench func(func()) float64) (cell, error) {
 	n := int(float64(m) * gamma)
 	coder, err := erasure.NewCoder(m, n)
 	if err != nil {
@@ -301,7 +255,7 @@ func measureCodec(kname string, m, size int, bench func(func()) float64) (cell, 
 		}
 	})
 	return cell{
-		Kernel: kname, M: m, N: n, PacketSize: size,
+		M: m, N: n, PacketSize: size,
 		EncodeMBps: mbps(payload, encSecs),
 		DecodeMBps: mbps(payload, decSecs),
 	}, nil
@@ -333,22 +287,19 @@ func measureWorkers(workers, m, size int, bench func(func()) float64) (workerCel
 func writeTable(w io.Writer, rep *report) {
 	fmt.Fprintf(w, "erasure kernel benchmark — %s/%s, %d CPU, GOMAXPROCS=%d, gamma=%.1f\n",
 		rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, rep.Gamma)
-	fmt.Fprintf(w, "calibration selected kernel: %s\n\n", rep.SelectedKernel)
 
-	fmt.Fprintf(w, "slice micro-ops (4 KiB payloads, MB/s)\n")
-	fmt.Fprintf(w, "%-8s  %12s  %16s\n", "kernel", "MulAddSlice", "MulAddRows(4)")
-	for _, mc := range rep.Micro {
-		fmt.Fprintf(w, "%-8s  %12.0f  %16.0f\n", mc.Kernel, mc.MulAddMBps, mc.MulAddRows4MBps)
-	}
+	fmt.Fprintf(w, "\nslice micro-ops (4 KiB payloads, MB/s)\n")
+	fmt.Fprintf(w, "%12s  %16s\n", "MulAddSlice", "MulAddRows(4)")
+	fmt.Fprintf(w, "%12.0f  %16.0f\n", rep.Micro.MulAddMBps, rep.Micro.MulAddRows4MBps)
 
 	fmt.Fprintf(w, "\ncodec throughput (payload MB/s, gamma=%.1f)\n", rep.Gamma)
-	fmt.Fprintf(w, "%-8s  %4s  %4s  %6s  %12s  %12s\n", "kernel", "M", "N", "size", "encode", "decode")
+	fmt.Fprintf(w, "%4s  %4s  %6s  %12s  %12s\n", "M", "N", "size", "encode", "decode")
 	for _, c := range rep.Codec {
-		fmt.Fprintf(w, "%-8s  %4d  %4d  %6d  %12.0f  %12.0f\n",
-			c.Kernel, c.M, c.N, c.PacketSize, c.EncodeMBps, c.DecodeMBps)
+		fmt.Fprintf(w, "%4d  %4d  %6d  %12.0f  %12.0f\n",
+			c.M, c.N, c.PacketSize, c.EncodeMBps, c.DecodeMBps)
 	}
 
-	fmt.Fprintf(w, "\nparallel encode sweep (kernel=%s, M=64, size=4096)\n", rep.SelectedKernel)
+	fmt.Fprintf(w, "\nparallel encode sweep (M=64, size=4096)\n")
 	fmt.Fprintf(w, "%-8s  %12s\n", "workers", "encode MB/s")
 	for _, wc := range rep.Workers {
 		fmt.Fprintf(w, "%-8d  %12.0f\n", wc.Workers, wc.EncodeMBps)

@@ -14,8 +14,8 @@
 //     inverting the corresponding M×M submatrix (Rabin's IDA, JACM 1989,
 //     with the Vandermonde modification the paper describes).
 //
-// The byte work runs through the pluggable GF(2^8) slice kernels in
-// package gf256; output rows are computed by a GOMAXPROCS-bounded worker
+// The byte work runs through the GF(2^8) table kernel in package
+// gf256; output rows are computed by a GOMAXPROCS-bounded worker
 // pool above a work-size cutover (see parallel.go); and submatrix
 // inversions are memoized per Coder because retransmission rounds repeat
 // row patterns (see invcache.go).

@@ -5,17 +5,12 @@ import (
 	"testing"
 )
 
-// benchKernels runs fn once per registered kernel as a sub-benchmark,
-// restoring the active kernel afterwards. SetBytes is left to fn.
-func benchKernels(b *testing.B, fn func(b *testing.B)) {
-	prev := activeKernel.Load()
-	defer activeKernel.Store(prev)
+// benchKernels runs fn once per kernel (the log/exp oracle and the
+// production table kernel) as a sub-benchmark. SetBytes is left to fn.
+func benchKernels(b *testing.B, fn func(b *testing.B, k *kernel)) {
 	for _, k := range kernels {
 		k := k
-		b.Run(k.name, func(b *testing.B) {
-			activeKernel.Store(k)
-			fn(b)
-		})
+		b.Run(k.name, func(b *testing.B) { fn(b, k) })
 	}
 }
 
@@ -26,10 +21,10 @@ func BenchmarkKernelMulAddSlice(b *testing.B) {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			src := testPattern(size, 1)
 			dst := testPattern(size, 2)
-			benchKernels(b, func(b *testing.B) {
+			benchKernels(b, func(b *testing.B, k *kernel) {
 				b.SetBytes(int64(size))
 				for i := 0; i < b.N; i++ {
-					MulAddSlice(byte(i)|2, dst, src)
+					k.mulAdd(byte(i)|2, dst, src)
 				}
 			})
 		})
@@ -49,10 +44,10 @@ func BenchmarkKernelMulAddRows(b *testing.B) {
 				srcs[j] = testPattern(size, j+1)
 				coeffs[j] = byte(0x53 + 2*j)
 			}
-			benchKernels(b, func(b *testing.B) {
+			benchKernels(b, func(b *testing.B, k *kernel) {
 				b.SetBytes(int64(size * rows))
 				for i := 0; i < b.N; i++ {
-					MulAddRows(coeffs, dst, srcs)
+					k.mulAddRows(coeffs, dst, srcs)
 				}
 			})
 		})

@@ -1,14 +1,17 @@
 package gf256
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
-// FuzzKernels is the cross-kernel equivalence fuzzer: for arbitrary
-// coefficients and payloads, every registered kernel must agree
-// byte-for-byte with the scalar Mul oracle on MulSlice, MulAddSlice and
-// MulAddRows. The kernels are driven through the public wrappers (which
-// own the degenerate c == 0 / c == 1 cases) because that is the contract
-// the erasure codec relies on. The payload is split in two so the rows
-// form exercises multiple source slices with distinct contents.
+// FuzzKernels checks the table kernel against the log/exp oracle: for
+// arbitrary coefficients and payloads, MulSlice, MulAddSlice and
+// MulAddRows must agree byte for byte with the reference. The table
+// kernel is driven through the public wrappers (which own the
+// degenerate c == 0 / c == 1 cases) because that is the contract the
+// erasure codec relies on. The payload is split in two so the rows form
+// exercises multiple source slices with distinct contents.
 func FuzzKernels(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{})
 	f.Add(byte(1), byte(2), []byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -18,46 +21,29 @@ func FuzzKernels(f *testing.F) {
 		half := len(payload) / 2
 		a, b := payload[:half], payload[half:half*2]
 
-		// Scalar oracles.
-		wantMul := make([]byte, half)
-		wantAdd := make([]byte, half)
-		wantRows := make([]byte, half)
-		for i := 0; i < half; i++ {
-			wantMul[i] = Mul(c1, a[i])
-			wantAdd[i] = b[i] ^ Mul(c1, a[i])
-			wantRows[i] = Mul(c1, a[i]) ^ Mul(c2, b[i])
-		}
-
-		prev := activeKernel.Load()
-		defer activeKernel.Store(prev)
-		for _, k := range kernels {
-			activeKernel.Store(k)
-
-			got := make([]byte, half)
-			MulSlice(c1, got, a)
-			for i := range got {
-				if got[i] != wantMul[i] {
-					t.Fatalf("%s MulSlice(c=%d)[%d] = %d, want %d", k.name, c1, i, got[i], wantMul[i])
-				}
-			}
-
-			copy(got, b)
-			MulAddSlice(c1, got, a)
-			for i := range got {
-				if got[i] != wantAdd[i] {
-					t.Fatalf("%s MulAddSlice(c=%d)[%d] = %d, want %d", k.name, c1, i, got[i], wantAdd[i])
-				}
-			}
-
-			for i := range got {
-				got[i] = 0
-			}
-			MulAddRows([]byte{c1, c2}, got, [][]byte{a, b})
-			for i := range got {
-				if got[i] != wantRows[i] {
-					t.Fatalf("%s MulAddRows(c=[%d %d])[%d] = %d, want %d", k.name, c1, c2, i, got[i], wantRows[i])
-				}
+		want := make([]byte, half)
+		got := make([]byte, half)
+		check := func(op string) {
+			t.Helper()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s(c=[%d %d]) = %x, logexp oracle %x", op, c1, c2, got, want)
 			}
 		}
+
+		logExpMulSlice(c1, want, a)
+		MulSlice(c1, got, a)
+		check("MulSlice")
+
+		copy(want, b)
+		logExpMulAdd(c1, want, a)
+		copy(got, b)
+		MulAddSlice(c1, got, a)
+		check("MulAddSlice")
+
+		clear(want)
+		pairwiseRows(logExpMulAdd, []byte{c1, c2}, want, [][]byte{a, b})
+		clear(got)
+		MulAddRows([]byte{c1, c2}, got, [][]byte{a, b})
+		check("MulAddRows")
 	})
 }

@@ -124,7 +124,7 @@ func Pow(a byte, k int) byte {
 
 // MulSlice multiplies every byte of src by c and stores the result in dst.
 // dst and src must have equal length; they may alias. The byte work runs
-// through the selected slice kernel (see kernel.go).
+// through the table kernel (see kernel.go).
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
@@ -139,7 +139,7 @@ func MulSlice(c byte, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
-	activeKernel.Load().mulSlice(c, dst, src)
+	tableMulSlice(c, dst, src)
 }
 
 // MulAddSlice computes dst[i] ^= c * src[i] for every index, the classic
@@ -158,12 +158,12 @@ func MulAddSlice(c byte, dst, src []byte) {
 		xorSlice(dst, src)
 		return
 	}
-	activeKernel.Load().mulAdd(c, dst, src)
+	tableMulAdd(c, dst, src)
 }
 
 // MulAddRows computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i] — one dispersal
 // row applied to all of its source packets in a single call. Fusing the
-// sources lets the table kernel amortize the dst read-modify-write across
+// sources lets the kernel amortize the dst read-modify-write across
 // up to four sources per pass, the dominant cost of repeated MulAddSlice
 // calls; it is the encode/decode row primitive of the erasure codec.
 // Every source must have dst's length, and none may alias dst.
@@ -176,7 +176,7 @@ func MulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 			panic("gf256: MulAddRows length mismatch")
 		}
 	}
-	activeKernel.Load().mulAddRows(coeffs, dst, srcs)
+	tableMulAddRows(coeffs, dst, srcs)
 }
 
 // AddSlice computes dst[i] ^= src[i] for every index (field addition is

@@ -3,233 +3,32 @@ package gf256
 // The slice kernels below are the only GF(2^8) code on the transmission
 // hot path: every byte of every cooked packet flows through MulAddSlice
 // (encode) or MulAddRows (encode and decode), so their cost decides how
-// fast the erasure codec can feed a channel. Three interchangeable
-// implementations are provided, all pure Go:
+// fast the erasure codec can feed a channel. They run on a flat 64 KiB
+// product table _mul[c][x]: for a fixed coefficient the inner loop
+// touches one 256-byte row with a single independent branch-free lookup
+// per byte, gathering eight products at a time into 64-bit destination
+// words. The fused MulAddRows form folds up to four source rows into one
+// destination pass, amortizing the dst read-modify-write that dominates
+// repeated two-operand calls.
 //
-//   - logexp: the original log/exp-table reference — a branch plus two
-//     dependent table lookups per byte. Kept as the cross-checked oracle
-//     every other kernel must agree with byte-for-byte (see FuzzKernels).
-//   - table: a flat 64 KiB product table mulTable[c][x]. For a fixed
-//     coefficient the inner loop touches one 256-byte row with a single
-//     independent branch-free lookup per byte, gathering eight products
-//     at a time into 64-bit destination words; its fused MulAddRows form
-//     folds up to four source rows into one destination pass, amortizing
-//     the dst read-modify-write that dominates repeated two-operand
-//     calls.
-//   - nibble: split 4-bit tables (mulLo[c][x&15] ^ mulHi[c][x>>4], 8 KiB
-//     total — resident in L1 no matter how many coefficients alternate)
-//     with an inner loop that processes 8 bytes per iteration through
-//     uint64 loads and XORs.
-//
-// One kernel is selected at init by a micro-calibration benchmark over
-// the fused-rows workload (the shape the codec actually runs) and can be
-// pinned with the MOBWEB_GF_KERNEL environment variable or SetKernel.
+// The log/exp reference lives in the tests as the oracle this kernel
+// must match byte for byte (see FuzzKernels); DESIGN.md §10 records why
+// it is the only kernel.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"os"
-	"sync/atomic"
-	"time"
-)
+import "encoding/binary"
 
-// EnvKernel is the environment variable that pins the slice kernel:
-// "logexp", "table" or "nibble" force that implementation; "auto" (or
-// unset, or any unrecognized value) selects by micro-calibration.
-const EnvKernel = "MOBWEB_GF_KERNEL"
+// _mul is the product table, produced by one deterministic computation
+// like the log/exp tables: _mul[c][x] = c*x.
+var _mul = genMulTable()
 
-// kernel bundles one implementation of the three slice primitives. All
-// functions may assume equal-length, non-aliasing slices and c >= 2 for
-// the two-operand forms — the public wrappers handle validation and the
-// degenerate c == 0 / c == 1 cases.
-type kernel struct {
-	name string
-	// mulAdd computes dst[i] ^= c*src[i].
-	mulAdd func(c byte, dst, src []byte)
-	// mulSlice computes dst[i] = c*src[i].
-	mulSlice func(c byte, dst, src []byte)
-	// mulAddRows computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i], the row
-	// accumulation of the erasure encoder/decoder. Implementations must
-	// handle zero and one coefficients themselves.
-	mulAddRows func(coeffs []byte, dst []byte, srcs [][]byte)
-}
-
-// mulTables holds the product tables shared by the table and nibble
-// kernels, produced by one deterministic computation like the log/exp
-// tables.
-type mulTables struct {
-	full [256][256]byte // full[c][x] = c*x (64 KiB)
-	lo   [256][16]byte  // lo[c][x] = c*x for x in [0,16)
-	hi   [256][16]byte  // hi[c][x] = c*(x<<4)
-}
-
-var _mul = genMulTables()
-
-func genMulTables() *mulTables {
-	t := &mulTables{}
+func genMulTable() *[256][256]byte {
+	t := &[256][256]byte{}
 	for c := 0; c < 256; c++ {
 		for x := 0; x < 256; x++ {
-			t.full[c][x] = Mul(byte(c), byte(x))
-		}
-		for x := 0; x < 16; x++ {
-			t.lo[c][x] = Mul(byte(c), byte(x))
-			t.hi[c][x] = Mul(byte(c), byte(x<<4))
+			t[c][x] = Mul(byte(c), byte(x))
 		}
 	}
 	return t
-}
-
-// kernels lists every implementation, reference first.
-var kernels = []*kernel{kernelLogExp, kernelTable, kernelNibble}
-
-// activeKernel is the selected implementation; reads are one atomic load
-// per slice call, negligible next to the per-byte work.
-var activeKernel atomic.Pointer[kernel]
-
-func init() {
-	activeKernel.Store(chooseKernel(os.Getenv(EnvKernel)))
-}
-
-// KernelName reports the active slice-kernel implementation.
-func KernelName() string { return activeKernel.Load().name }
-
-// KernelNames lists the available implementations in registration order
-// (reference first).
-func KernelNames() []string {
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		names[i] = k.name
-	}
-	return names
-}
-
-// SetKernel pins the slice kernel by name ("logexp", "table", "nibble"),
-// or re-runs calibration for "auto" / "". It is safe to call
-// concurrently with running kernels: in-flight slice operations finish
-// on the previous implementation, which computes identical bytes.
-func SetKernel(name string) error {
-	if name == "" || name == "auto" {
-		activeKernel.Store(calibrate())
-		return nil
-	}
-	for _, k := range kernels {
-		if k.name == name {
-			activeKernel.Store(k)
-			return nil
-		}
-	}
-	return fmt.Errorf("gf256: unknown kernel %q (have %v)", name, KernelNames())
-}
-
-// chooseKernel resolves the env knob: a known name pins that kernel,
-// anything else (including unset and "auto") calibrates.
-func chooseKernel(env string) *kernel {
-	for _, k := range kernels {
-		if k.name == env {
-			return k
-		}
-	}
-	return calibrate()
-}
-
-// calibrate times each kernel on the fused-rows workload the codec runs
-// (4 source rows into one destination, 4 KiB payloads) and returns the
-// fastest. The whole benchmark moves ~1.5 MB per kernel, well under a
-// millisecond — cheap enough for process init, long enough to rank the
-// implementations reliably on the hardware at hand.
-//
-//mobweb:nondet-ok kernel choice affects speed, never GF(2^8) results
-func calibrate() *kernel {
-	const (
-		size   = 4096
-		rows   = 4
-		passes = 8
-		trials = 3
-	)
-	dst := make([]byte, size)
-	srcs := make([][]byte, rows)
-	coeffs := make([]byte, rows)
-	for j := range srcs {
-		srcs[j] = make([]byte, size)
-		for i := range srcs[j] {
-			srcs[j][i] = byte(i*(2*j+3) + j + 1)
-		}
-		coeffs[j] = byte(0x53 + 2*j)
-	}
-	best, bestTime := kernels[0], time.Duration(1<<62)
-	for _, k := range kernels {
-		trial := time.Duration(1 << 62)
-		for t := 0; t < trials; t++ {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				k.mulAddRows(coeffs, dst, srcs)
-			}
-			if d := time.Since(start); d < trial {
-				trial = d
-			}
-		}
-		if trial < bestTime {
-			best, bestTime = k, trial
-		}
-	}
-	return best
-}
-
-// ---- logexp: the reference kernel ----
-
-var kernelLogExp = &kernel{
-	name:     "logexp",
-	mulAdd:   logExpMulAdd,
-	mulSlice: logExpMulSlice,
-	mulAddRows: func(coeffs []byte, dst []byte, srcs [][]byte) {
-		pairwiseRows(logExpMulAdd, coeffs, dst, srcs)
-	},
-}
-
-//mobweb:hot reference kernel; still runs per byte when calibration picks it
-func logExpMulAdd(c byte, dst, src []byte) {
-	logC := int(_tables.log[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= _tables.exp[logC+int(_tables.log[s])]
-		}
-	}
-}
-
-//mobweb:hot reference kernel; still runs per byte when calibration picks it
-func logExpMulSlice(c byte, dst, src []byte) {
-	logC := int(_tables.log[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = _tables.exp[logC+int(_tables.log[s])]
-	}
-}
-
-// pairwiseRows is the generic row accumulation: one two-operand pass per
-// coefficient, with the degenerate coefficients peeled off.
-//mobweb:hot row accumulation for the logexp and nibble kernels
-func pairwiseRows(mulAdd func(byte, []byte, []byte), coeffs []byte, dst []byte, srcs [][]byte) {
-	for j, c := range coeffs {
-		switch c {
-		case 0:
-		case 1:
-			xorSlice(dst, srcs[j])
-		default:
-			mulAdd(c, dst, srcs[j])
-		}
-	}
-}
-
-// ---- table: flat 64 KiB product table ----
-
-var kernelTable = &kernel{
-	name:       "table",
-	mulAdd:     tableMulAdd,
-	mulSlice:   tableMulSlice,
-	mulAddRows: tableMulAddRows,
 }
 
 // The table loops below gather the products of 8 source bytes into one
@@ -245,9 +44,10 @@ var kernelTable = &kernel{
 
 // tableMulAdd works 16 bytes per iteration as two independent 8-byte
 // gathers whose accumulation chains overlap in the pipeline.
+//
 //mobweb:hot every byte of every cooked packet flows through here
 func tableMulAdd(c byte, dst, src []byte) {
-	row := &_mul.full[c]
+	row := &_mul[c]
 	n := len(src) &^ 15
 	i := 0
 	for ; i < n; i += 16 {
@@ -268,7 +68,7 @@ func tableMulAdd(c byte, dst, src []byte) {
 
 //mobweb:hot every byte of every cooked packet flows through here
 func tableMulSlice(c byte, dst, src []byte) {
-	row := &_mul.full[c]
+	row := &_mul[c]
 	n := len(src) &^ 15
 	i := 0
 	for ; i < n; i += 16 {
@@ -291,13 +91,14 @@ func tableMulSlice(c byte, dst, src []byte) {
 // read-modify-write: four fused sources cost one dst pass instead of
 // four. Zero coefficients are compacted away first; c == 1 needs no
 // special case (row 1 of the product table is the identity).
+//
 //mobweb:hot per parity row per frame; feeds the zero-alloc send path
 func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
-	if len(coeffs) > 256 {
+	for len(coeffs) > 256 {
 		// A GF(2^8) code has at most 255 rows, so this cannot happen for
 		// field-valid systems; stay correct for callers that try anyway.
-		pairwiseRows(tableMulAdd, coeffs, dst, srcs)
-		return
+		tableMulAddRows(coeffs[:256], dst, srcs[:256])
+		coeffs, srcs = coeffs[256:], srcs[256:]
 	}
 	// Compact the non-zero terms into fixed-size stack arrays. This used
 	// to make three slices per call — per parity row, per frame — which
@@ -311,7 +112,7 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 		if c == 0 {
 			continue
 		}
-		rows[live] = &_mul.full[c]
+		rows[live] = &_mul[c]
 		data[live] = srcs[j][:len(dst)]
 		cc[live] = c
 		live++
@@ -367,68 +168,10 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	}
 }
 
-// ---- nibble: split 4-bit tables, 8 bytes per iteration ----
-
-var kernelNibble = &kernel{
-	name:     "nibble",
-	mulAdd:   nibbleMulAdd,
-	mulSlice: nibbleMulSlice,
-	mulAddRows: func(coeffs []byte, dst []byte, srcs [][]byte) {
-		pairwiseRows(nibbleMulAdd, coeffs, dst, srcs)
-	},
-}
-
-// nibbleProduct assembles the products of 8 packed source bytes from the
-// two 16-entry nibble tables. Go's precedence makes s>>k&15 parse as
-// (s>>k)&15.
-//mobweb:hot inner gather of the nibble kernel, called once per 8 bytes
-func nibbleProduct(lo, hi *[16]byte, s uint64) uint64 {
-	return uint64(lo[s&15]^hi[s>>4&15]) |
-		uint64(lo[s>>8&15]^hi[s>>12&15])<<8 |
-		uint64(lo[s>>16&15]^hi[s>>20&15])<<16 |
-		uint64(lo[s>>24&15]^hi[s>>28&15])<<24 |
-		uint64(lo[s>>32&15]^hi[s>>36&15])<<32 |
-		uint64(lo[s>>40&15]^hi[s>>44&15])<<40 |
-		uint64(lo[s>>48&15]^hi[s>>52&15])<<48 |
-		uint64(lo[s>>56&15]^hi[s>>60&15])<<56
-}
-
-//mobweb:hot every byte of every cooked packet flows through here
-func nibbleMulAdd(c byte, dst, src []byte) {
-	lo, hi := &_mul.lo[c], &_mul.hi[c]
-	n := len(src) &^ 7
-	i := 0
-	for ; i < n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^nibbleProduct(lo, hi, s))
-	}
-	row := &_mul.full[c]
-	for ; i < len(src); i++ {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-//mobweb:hot every byte of every cooked packet flows through here
-func nibbleMulSlice(c byte, dst, src []byte) {
-	lo, hi := &_mul.lo[c], &_mul.hi[c]
-	n := len(src) &^ 7
-	i := 0
-	for ; i < n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], nibbleProduct(lo, hi, s))
-	}
-	row := &_mul.full[c]
-	for ; i < len(src); i++ {
-		dst[i] = row[src[i]]
-	}
-}
-
-// ---- shared word-wise XOR ----
-
 // xorSlice computes dst[i] ^= src[i] eight bytes at a time. It is the
 // c == 1 path of MulAddSlice and the body of AddSlice; XOR is field
 // addition, so there is no table work at all.
+//
 //mobweb:hot c == 1 fast path of every row accumulation
 func xorSlice(dst, src []byte) {
 	n := len(src) &^ 7

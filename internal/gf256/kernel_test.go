@@ -5,18 +5,76 @@ import (
 	"testing"
 )
 
-// withKernel runs fn once per registered kernel, restoring the previously
-// active implementation afterwards.
+// kernel is one implementation of the slice primitives under test,
+// each with the public wrappers' full contract (degenerate coefficients
+// included).
+type kernel struct {
+	name       string
+	mulSlice   func(c byte, dst, src []byte)
+	mulAdd     func(c byte, dst, src []byte)
+	mulAddRows func(coeffs []byte, dst []byte, srcs [][]byte)
+}
+
+// kernels lists the log/exp oracle first, then the production table
+// kernel behind the public wrappers.
+var kernels = []*kernel{
+	{
+		name:     "logexp",
+		mulSlice: logExpMulSlice,
+		mulAdd:   logExpMulAdd,
+		mulAddRows: func(coeffs []byte, dst []byte, srcs [][]byte) {
+			pairwiseRows(logExpMulAdd, coeffs, dst, srcs)
+		},
+	},
+	{name: "table", mulSlice: MulSlice, mulAdd: MulAddSlice, mulAddRows: MulAddRows},
+}
+
+// logExpMulAdd is the reference axpy: a branch plus two dependent
+// log/exp lookups per byte.
+func logExpMulAdd(c byte, dst, src []byte) {
+	if c == 0 {
+		return
+	}
+	logC := int(_tables.log[c])
+	for i, s := range src {
+		if s != 0 {
+			dst[i] ^= _tables.exp[logC+int(_tables.log[s])]
+		}
+	}
+}
+
+// logExpMulSlice is the reference scaling dst = c*src.
+func logExpMulSlice(c byte, dst, src []byte) {
+	logC := int(_tables.log[c])
+	for i, s := range src {
+		if s == 0 || c == 0 {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = _tables.exp[logC+int(_tables.log[s])]
+	}
+}
+
+// pairwiseRows is the generic row accumulation: one two-operand pass per
+// coefficient, with the degenerate coefficients peeled off.
+func pairwiseRows(mulAdd func(byte, []byte, []byte), coeffs []byte, dst []byte, srcs [][]byte) {
+	for j, c := range coeffs {
+		switch c {
+		case 0:
+		case 1:
+			xorSlice(dst, srcs[j])
+		default:
+			mulAdd(c, dst, srcs[j])
+		}
+	}
+}
+
+// withKernel runs fn once per kernel as a subtest.
 func withKernel(t *testing.T, fn func(t *testing.T, k *kernel)) {
 	t.Helper()
-	prev := activeKernel.Load()
-	defer activeKernel.Store(prev)
 	for _, k := range kernels {
 		k := k
-		t.Run(k.name, func(t *testing.T) {
-			activeKernel.Store(k)
-			fn(t, k)
-		})
+		t.Run(k.name, func(t *testing.T) { fn(t, k) })
 	}
 }
 
@@ -28,74 +86,6 @@ func testPattern(n, seed int) []byte {
 		b[i] = byte(i*(2*seed+3) + seed*7)
 	}
 	return b
-}
-
-func TestKernelNames(t *testing.T) {
-	names := KernelNames()
-	want := []string{"logexp", "table", "nibble"}
-	if len(names) != len(want) {
-		t.Fatalf("KernelNames() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("KernelNames() = %v, want %v", names, want)
-		}
-	}
-	found := false
-	for _, n := range names {
-		if n == KernelName() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("active kernel %q not in KernelNames() %v", KernelName(), names)
-	}
-}
-
-func TestSetKernel(t *testing.T) {
-	prev := KernelName()
-	defer func() {
-		if err := SetKernel(prev); err != nil {
-			t.Fatalf("restoring kernel %q: %v", prev, err)
-		}
-	}()
-	for _, name := range KernelNames() {
-		if err := SetKernel(name); err != nil {
-			t.Fatalf("SetKernel(%q): %v", name, err)
-		}
-		if got := KernelName(); got != name {
-			t.Fatalf("KernelName() = %q after SetKernel(%q)", got, name)
-		}
-	}
-	if err := SetKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetKernel with an unknown name did not error")
-	}
-	for _, auto := range []string{"auto", ""} {
-		if err := SetKernel(auto); err != nil {
-			t.Fatalf("SetKernel(%q): %v", auto, err)
-		}
-	}
-}
-
-func TestChooseKernelEnv(t *testing.T) {
-	for _, k := range kernels {
-		if got := chooseKernel(k.name); got != k {
-			t.Errorf("chooseKernel(%q) = %q", k.name, got.name)
-		}
-	}
-	// Unknown and empty values calibrate; the winner must be registered.
-	for _, env := range []string{"", "auto", "bogus"} {
-		got := chooseKernel(env)
-		ok := false
-		for _, k := range kernels {
-			if got == k {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("chooseKernel(%q) returned unregistered kernel %q", env, got.name)
-		}
-	}
 }
 
 // TestKernelsAgainstScalar checks every kernel's three primitives against
@@ -110,7 +100,7 @@ func TestKernelsAgainstScalar(t *testing.T) {
 			for _, c := range coeffs {
 				// MulSlice.
 				dst := testPattern(n, 2)
-				MulSlice(c, dst, src)
+				k.mulSlice(c, dst, src)
 				for i := range src {
 					if want := Mul(c, src[i]); dst[i] != want {
 						t.Fatalf("%s MulSlice(c=%d, n=%d)[%d] = %d, want %d",
@@ -120,7 +110,7 @@ func TestKernelsAgainstScalar(t *testing.T) {
 				// MulAddSlice.
 				dst = testPattern(n, 2)
 				orig := append([]byte(nil), dst...)
-				MulAddSlice(c, dst, src)
+				k.mulAdd(c, dst, src)
 				for i := range src {
 					if want := orig[i] ^ Mul(c, src[i]); dst[i] != want {
 						t.Fatalf("%s MulAddSlice(c=%d, n=%d)[%d] = %d, want %d",
@@ -161,7 +151,7 @@ func TestMulAddRowsAgainstScalar(t *testing.T) {
 						want[i] ^= Mul(coeffs[j], srcs[j][i])
 					}
 				}
-				MulAddRows(coeffs, dst, srcs)
+				k.mulAddRows(coeffs, dst, srcs)
 				if !bytes.Equal(dst, want) {
 					t.Fatalf("%s MulAddRows(rows=%d, n=%d) mismatch", k.name, rows, n)
 				}
@@ -203,28 +193,33 @@ func TestXorSlice(t *testing.T) {
 	}
 }
 
-// TestMulTablesConsistent pins the product tables to scalar Mul, including
-// the nibble decomposition identity c*x == c*(x&15) ^ c*(x&0xF0).
+// TestMulTablesConsistent pins the product table to scalar Mul.
 func TestMulTablesConsistent(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		for x := 0; x < 256; x++ {
-			want := Mul(byte(c), byte(x))
-			if got := _mul.full[c][x]; got != want {
-				t.Fatalf("full[%d][%d] = %d, want %d", c, x, got, want)
-			}
-			if got := _mul.lo[c][x&15] ^ _mul.hi[c][x>>4]; got != want {
-				t.Fatalf("lo/hi[%d][%d] = %d, want %d", c, x, got, want)
+			if got, want := _mul[c][x], Mul(byte(c), byte(x)); got != want {
+				t.Fatalf("_mul[%d][%d] = %d, want %d", c, x, got, want)
 			}
 		}
 	}
 }
 
-func TestCalibrateReturnsRegisteredKernel(t *testing.T) {
-	got := calibrate()
-	for _, k := range kernels {
-		if got == k {
-			return
-		}
+// TestMulAddRowsBeyondFieldSize covers the chunked path for more source
+// rows than a GF(2^8) code can have: the fused kernel folds them 256 at
+// a time and must still match the oracle.
+func TestMulAddRowsBeyondFieldSize(t *testing.T) {
+	const rows, n = 300, 17
+	srcs := make([][]byte, rows)
+	coeffs := make([]byte, rows)
+	for j := range srcs {
+		srcs[j] = testPattern(n, j+1)
+		coeffs[j] = byte(j * 7)
 	}
-	t.Fatalf("calibrate() returned unregistered kernel %q", got.name)
+	want := testPattern(n, 0)
+	got := append([]byte(nil), want...)
+	pairwiseRows(logExpMulAdd, coeffs, want, srcs)
+	MulAddRows(coeffs, got, srcs)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("MulAddRows over %d rows = %x, want %x", rows, got, want)
+	}
 }

@@ -44,8 +44,8 @@ var gfForbiddenOps = map[token.Token]string{
 // — multiplication by 2^k without the modular reduction by the field
 // polynomial, so it overflows silently for any element with high bits
 // set. Only the shifted operand's type matters; the shift count is
-// typically an untyped constant. Wider integer shifts (the uint64 SWAR
-// lanes in the nibble kernel, table-index math) are untouched.
+// typically an untyped constant. Wider integer shifts (the uint64 word
+// gathers of the table kernel, table-index math) are untouched.
 var gfShiftOps = map[token.Token]string{
 	token.SHL: "<<", token.SHL_ASSIGN: "<<=",
 }

@@ -37,7 +37,6 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/erasure"
 	"mobweb/internal/framecache"
-	"mobweb/internal/gf256"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -123,9 +122,6 @@ type Stats struct {
 	// Entries and Bytes describe the cache's current occupancy.
 	Entries int
 	Bytes   int64
-	// GFKernel names the active GF(2^8) slice kernel driving every
-	// encode behind the cached plans (see gf256.KernelName).
-	GFKernel string
 }
 
 // cacheEntry is one cached plan plus the identity needed to detect
@@ -361,7 +357,7 @@ func (p *Planner) resolve(req Request) (*core.Plan, string, *content.SC, error) 
 	p.misses++
 	p.mu.Unlock()
 
-	start := time.Now()         //mobweb:nondet-ok build-time stats, never part of plans or keys
+	start := time.Now() //mobweb:nondet-ok build-time stats, never part of plans or keys
 	plan, buildErr := core.NewPlan(sc, queryVec, cfg)
 	elapsed := time.Since(start) //mobweb:nondet-ok build-time stats
 
@@ -418,14 +414,13 @@ func (p *Planner) Stats() Stats {
 		Invalidations: p.invalid,
 		Entries:       p.ll.Len(),
 		Bytes:         p.bytes,
-		GFKernel:      gf256.KernelName(),
 	}
 }
 
 // String formats the snapshot for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, entries %d, %d bytes, gf %s}",
-		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Entries, s.Bytes, s.GFKernel)
+	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, entries %d, %d bytes}",
+		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Entries, s.Bytes)
 }
 
 // resolveParams validates the request against the engine and defaults,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mobweb/internal/core"
+	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 	"mobweb/internal/transport"
@@ -299,8 +300,10 @@ func (f *Front) handle(conn net.Conn, connID int64) {
 		case "fetch":
 			f.fm.fetches.Inc()
 			err = f.proxyFetch(conn, w, requests, req, rng)
-		case "stop":
-			// A stale stop from a stream that already ended; ignore.
+		case "stop", "stopgen":
+			// A stale stop/stopgen from a stream that already ended (e.g.
+			// feedback racing the end-of-stream marker); ignore, as the
+			// replica server does.
 			continue
 		default:
 			err = writeFlush(w, transport.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
@@ -456,7 +459,12 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 	for _, seq := range req.Have {
 		have[seq] = true
 	}
+	// relayed holds the row ids (cooked seqs, or packed fountain seqs)
+	// relayed intact, and doneGens the generations the client stopped
+	// with a stopgen: together with the client's own resume state they
+	// are what a re-routed request replays to the next replica.
 	relayed := make(map[int]bool)
+	doneGens := append([]int(nil), req.DoneGens...)
 	order := f.ring.Successors(req.Doc, nil)
 
 	var (
@@ -502,6 +510,13 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		}
 		rreq := req
 		rreq.Have = mergedHave(have, relayed)
+		rreq.DoneGens = doneGens
+		if headerSent && layout.Codec == erasure.CodecFountain {
+			// Pin the re-routed stream to the seed the client is already
+			// decoding: a replica with another salt would derive a
+			// different stream, whose frames the client rejects.
+			rreq.Seed = layout.Seed
+		}
 		rc, resp, err := f.openStream(idx, rreq)
 		if err != nil {
 			f.mon.ReportFailure(idx)
@@ -551,7 +566,8 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 			}
 			headerSent = true
 		} else {
-			if resp.Layout.N() != layout.N() || resp.Layout.BodySize != layout.BodySize {
+			if resp.Layout.N() != layout.N() || resp.Layout.BodySize != layout.BodySize ||
+				resp.Layout.Codec != layout.Codec || resp.Layout.Seed != layout.Seed {
 				// The replicas disagree on geometry (corpus drift): the
 				// relayed prefix and this stream cannot be mixed. Cut the
 				// client loose; its own redial/resume recovers cleanly.
@@ -562,7 +578,7 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		}
 		attempt = 0
 
-		done, relayErr := f.relayFrames(clientConn, w, rc, requests, relayed, &stopped, &sent)
+		done, relayErr := f.relayFrames(clientConn, w, rc, requests, layout.Codec, relayed, &doneGens, &stopped, &sent)
 		rc.close()
 		if done {
 			return end()
@@ -606,26 +622,33 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 // nil error with done=false means the replica leg failed and the caller
 // should re-route; a non-nil error means the client leg failed and the
 // stream is unsalvageable.
-func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaConn, requests <-chan transport.Request, relayed map[int]bool, stopped *bool, sent *int) (bool, error) {
+func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaConn, requests <-chan transport.Request, codec erasure.CodecID, relayed map[int]bool, doneGens *[]int, stopped *bool, sent *int) (bool, error) {
 	var frameBuf []byte
 	for {
-		// A stop request aborts the stream; client-connection closure
-		// (reader channel closed) aborts the whole handler.
+		// Client feedback goes on to the replica: a stop aborts the
+		// stream, a stopgen ends one fountain generation. Client-
+		// connection closure (reader channel closed) aborts the whole
+		// handler.
 		select {
 		case creq, ok := <-requests:
 			if !ok {
 				return false, io.EOF
 			}
-			if creq.Op != "stop" {
-				return false, fmt.Errorf("shard: %q request during stream", creq.Op)
-			}
-			if !*stopped {
-				*stopped = true
-				if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err == nil {
-					if transport.WriteJSONLine(rc.w, transport.Request{Op: "stop"}) == nil {
-						rc.w.Flush()
-					}
+			switch creq.Op {
+			case "stop":
+				if *stopped {
+					break
 				}
+				*stopped = true
+				f.forward(rc, transport.Request{Op: "stop"})
+			case "stopgen":
+				if *stopped {
+					break
+				}
+				*doneGens = append(*doneGens, creq.Gen)
+				f.forward(rc, transport.Request{Op: "stopgen", Gen: creq.Gen})
+			default:
+				return false, fmt.Errorf("shard: %q request during stream", creq.Op)
 			}
 		default:
 		}
@@ -640,6 +663,13 @@ func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaCon
 			return true, nil
 		}
 		frameBuf = frame
+		if *stopped {
+			// The client only drains frames after its stop. The replica
+			// may have buffered a long stream ahead of the forwarded
+			// stop, so drop the rest here instead of spending the
+			// client's link on it.
+			continue
+		}
 		if err := clientConn.SetWriteDeadline(f.ioDeadline()); err != nil {
 			return false, err
 		}
@@ -653,8 +683,24 @@ func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaCon
 		// Only frames that pass their CRC here count as held by the
 		// client: a frame corrupted on the replica's (emulated) weak
 		// link must stay eligible for retransmission after a re-route.
-		if pkt, perr := packet.Parse(frame); perr == nil {
+		// The layout's codec says which frame format to check.
+		if codec == erasure.CodecFountain {
+			if pkt, perr := packet.ParseFountain(frame); perr == nil {
+				relayed[packet.PackSeq(pkt.Gen, pkt.Seq)] = true
+			}
+		} else if pkt, perr := packet.Parse(frame); perr == nil {
 			relayed[pkt.Seq] = true
+		}
+	}
+}
+
+// forward relays one client control message to the replica leg. A
+// failed write is left to the frame read that follows: it finds the
+// dead leg and re-routes.
+func (f *Front) forward(rc *replicaConn, req transport.Request) {
+	if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err == nil {
+		if transport.WriteJSONLine(rc.w, req) == nil {
+			rc.w.Flush()
 		}
 	}
 }

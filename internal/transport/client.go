@@ -245,6 +245,7 @@ func (c *Client) backoffWait(delay time.Duration) time.Duration {
 
 // deadline computes the per-operation I/O deadline: the read/write
 // timeout, tightened by the context's own deadline when that is sooner.
+//
 //mobweb:nondet-ok I/O deadlines are wall-clock by nature
 func (c *Client) deadline(ctx context.Context) time.Time {
 	t := c.Timeout
@@ -714,7 +715,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 			rctx, cancel = context.WithTimeout(ctx, opts.RoundTimeout)
 		}
 		recBefore, corBefore := result.PacketsReceived, result.PacketsCorrupted
-		newRcv, done, err := c.runRound(rctx, opts, gamma, rcv, result, noCaching)
+		newRcv, done, err := c.runRound(rctx, opts, round{gamma: gamma, reset: noCaching}, rcv, result)
 		cancel()
 		rcv = newRcv
 		// Drain the round's packets to the store whatever happened next:
@@ -782,13 +783,33 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	return fail(fmt.Errorf("transport: fetch %s: %w", opts.Doc, ErrRoundsExhausted))
 }
 
-// runRound performs one request/stream cycle: send the fetch request
-// (with the Have list when caching), read the layout header, and consume
-// the packet stream until termination or end-of-stream. It returns the
-// (possibly rebuilt) receiver so callers keep it across failures.
-func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64, rcv *core.Receiver, result *FetchResult, noCaching bool) (*core.Receiver, bool, error) {
+// round is what one request/stream cycle varies on: the γ it asks for,
+// whether held packets are dropped first (NoCaching between rounds), and
+// for an idle-time prefetch its frame budget.
+type round struct {
+	gamma float64
+	reset bool
+	// budget > 0 marks a prefetch round: the request carries the Prefetch
+	// flag, and the client stops the stream once budget frames (counted
+	// across the whole Prefetch call) have crossed the wire.
+	budget int
+}
+
+// runRound is the client's one round driver, shared by Fetch and
+// Prefetch: send the fetch request (with the Have/DoneGens resume state
+// when caching), read and validate the layout header, rebase or create
+// the receiver, and consume the packet stream until end-of-stream —
+// sending a stopgen for every fountain generation that decodes and a
+// stop once the fetch (or the prefetch budget) is done. It returns the
+// (possibly rebuilt) receiver so callers keep it across failures, and
+// done=true when a §4.2 termination condition fired.
+func (c *Client) runRound(ctx context.Context, opts FetchOptions, rd round, rcv *core.Receiver, result *FetchResult) (*core.Receiver, bool, error) {
 	defer c.armInterrupt(ctx)()
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: gamma}
+	op := "fetch"
+	if rd.budget > 0 {
+		op = "prefetch"
+	}
+	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: rd.gamma, Prefetch: rd.budget > 0}
 	if opts.LOD != 0 {
 		req.LOD = opts.LOD.String()
 	}
@@ -815,8 +836,8 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 			req.Seed = lo.Seed
 		}
 	}
-	result.GammaRequests = append(result.GammaRequests, gamma)
-	opts.Trace.Record(obs.Event{Type: obs.EventRoundStart, Round: result.Rounds, Value: gamma})
+	result.GammaRequests = append(result.GammaRequests, rd.gamma)
+	opts.Trace.Record(obs.Event{Type: obs.EventRoundStart, Round: result.Rounds, Value: rd.gamma})
 	if err := c.send(ctx, req); err != nil {
 		return rcv, false, err
 	}
@@ -825,7 +846,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		return rcv, false, err
 	}
 	if !resp.OK {
-		return rcv, false, respRefusal(resp, "fetch")
+		return rcv, false, respRefusal(resp, op)
 	}
 	if resp.Layout == nil {
 		return rcv, false, fmt.Errorf("%w: fetch response missing layout", ErrBadResponse)
@@ -860,10 +881,10 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 			return nil, false, err
 		}
 		rcv.SetTrace(opts.Trace)
-	} else if noCaching {
+	} else if rd.reset {
 		rcv.Reset()
 	}
-	done, err := c.consumeStream(ctx, rcv, opts, result)
+	done, err := c.consumeStream(ctx, rcv, opts, rd, result)
 	return rcv, done, err
 }
 
@@ -959,6 +980,13 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 		return res, fmt.Errorf("transport: prefetch budget %d, want >= 1", budgetPackets)
 	}
 	shape := fetchShape(opts)
+	// A prefetch always resumes from what it holds (top-ups skip held
+	// packets), stops only on its budget or a reconstructible document,
+	// and renders nothing.
+	opts.Caching = true
+	opts.StopAtIC = 0
+	opts.OnProgress = nil
+	opts.Trace = nil
 	var rcv *core.Receiver
 	if pre, ok := c.prefetched[opts.Doc]; ok && pre.shape == shape {
 		rcv = pre.rcv
@@ -971,10 +999,14 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 			rcv = seeded
 		}
 	}
+	// acct carries the frame count the budget is charged against across
+	// resumes; the rest of its accounting is a fetch's, unused here.
+	var acct FetchResult
 	// save primes whatever was received — even a partial window on the
 	// error path — for the next Fetch, and drains it to the persistent
 	// store so a kill mid-window costs nothing already received.
 	save := func() {
+		res.Received = acct.PacketsReceived
 		if rcv != nil {
 			c.primeReceiver(opts.Doc, shape, rcv)
 			res.Intact = rcv.IntactCount()
@@ -985,7 +1017,7 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	// backs off internally, and a prefetch is best-effort work.
 	resumes := c.Retry.withDefaults().MaxAttempts
 	for attempt := 0; ; attempt++ {
-		newRcv, err := c.prefetchRound(ctx, opts, rcv, budgetPackets, &res)
+		newRcv, _, err := c.runRound(ctx, opts, round{gamma: opts.Gamma, budget: budgetPackets}, rcv, &acct)
 		rcv = newRcv
 		if err == nil {
 			save()
@@ -1002,91 +1034,6 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	}
 }
 
-// prefetchRound streams one prefetch window: Request (with the Have list
-// so resumes and top-ups skip held packets), layout, then frames until
-// the budget is spent, the document is reconstructible, or the stream
-// ends. It returns the (possibly rebuilt) receiver.
-func (c *Client) prefetchRound(ctx context.Context, opts FetchOptions, rcv *core.Receiver, budget int, res *PrefetchResult) (*core.Receiver, error) {
-	defer c.armInterrupt(ctx)()
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Prefetch: true}
-	if opts.LOD != 0 {
-		req.LOD = opts.LOD.String()
-	}
-	if opts.Notion != 0 {
-		req.Notion = opts.Notion.String()
-	}
-	if opts.Codec != 0 {
-		req.Codec = opts.Codec.String()
-	}
-	req.Seed = opts.FountainSeed
-	req.Broadcast = opts.Broadcast
-	if rcv != nil {
-		req.Have = rcv.HaveList()
-		req.DoneGens = rcv.DoneGenerations()
-		if lo := rcv.Layout(); lo.Codec == erasure.CodecFountain && req.Seed == 0 {
-			req.Seed = lo.Seed
-		}
-	}
-	if err := c.send(ctx, req); err != nil {
-		return rcv, err
-	}
-	resp, err := c.readResponse(ctx)
-	if err != nil {
-		return rcv, err
-	}
-	if !resp.OK {
-		return rcv, respRefusal(resp, "prefetch")
-	}
-	if resp.Layout == nil {
-		return rcv, fmt.Errorf("%w: fetch response missing layout", ErrBadResponse)
-	}
-	if lo := rcvLayout(rcv); rcv != nil && (lo.N() != resp.Layout.N() || lo.BodySize != resp.Layout.BodySize ||
-		lo.Codec != resp.Layout.Codec || lo.Seed != resp.Layout.Seed) {
-		rebased, rerr := rcv.Rebase(*resp.Layout)
-		if rerr != nil {
-			rcv = nil
-		} else {
-			rcv = rebased
-		}
-	}
-	if rcv == nil {
-		rcv, err = core.NewReceiverFromLayout(*resp.Layout)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	stopped := false
-	var frameBuf []byte // reused across frames; AddFrame copies what it keeps
-	for {
-		if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
-			return rcv, err
-		}
-		frame, err := ReadFrameInto(c.r, frameBuf)
-		if err != nil {
-			return rcv, err
-		}
-		if frame == nil {
-			return rcv, nil
-		}
-		frameBuf = frame
-		if stopped {
-			continue // draining
-		}
-		res.Received++
-		c.metrics().prefetchFrames.Inc()
-		if _, _, err := rcv.AddFrame(frame); err != nil {
-			return rcv, err
-		}
-		if res.Received >= budget || rcv.Reconstructible() {
-			if err := c.send(ctx, Request{Op: "stop"}); err != nil {
-				return rcv, err
-			}
-			stopped = true
-		}
-	}
-}
-
 // primeReceiver stores a receiver for consumption by the next Fetch of
 // the same document and shape.
 func (c *Client) primeReceiver(doc, shape string, rcv *core.Receiver) {
@@ -1096,15 +1043,16 @@ func (c *Client) primeReceiver(doc, shape string, rcv *core.Receiver) {
 	c.prefetched[doc] = &prefetchedDoc{rcv: rcv, shape: shape}
 }
 
-// consumeStream reads frames until termination or end-of-stream. It
-// returns done=true when a §4.2 termination condition fired.
-func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult) (bool, error) {
-	terminatedEarly := false
+// consumeStream reads frames until end-of-stream. It returns done=true
+// when a §4.2 termination condition fired.
+func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, rd round, result *FetchResult) (bool, error) {
+	stopped := false
 	cm := c.metrics()
 	// On a fountain stream the client closes the loop per generation: the
 	// moment one decodes, a stopgen tells the open-loop transmitter to
 	// spend no more air time on it.
-	fountainMode := rcv.Layout().Codec == erasure.CodecFountain
+	lo := rcv.Layout()
+	fountainMode := lo.Codec == erasure.CodecFountain
 	var genStopped map[int]bool
 	if fountainMode {
 		genStopped = make(map[int]bool)
@@ -1112,7 +1060,6 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 	// Refetch accounting: an intact frame the receiver already held, or
 	// one for a generation reconstructible before this round started, is
 	// air time the Have/DoneGens feedback should have saved.
-	lo := rcv.Layout()
 	doneAtStart := make([]bool, len(lo.Shapes))
 	for g := range doneAtStart {
 		doneAtStart[g] = rcv.GenerationReconstructible(g)
@@ -1127,15 +1074,19 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			return false, err
 		}
 		if frame == nil { // end of stream
-			return terminatedEarly || c.terminated(rcv, opts), nil
+			return stopped || c.terminated(rcv, opts), nil
 		}
 		frameBuf = frame
-		if terminatedEarly {
+		if stopped {
 			continue // draining after stop
 		}
 		result.PacketsReceived++
 		result.BytesReceived += len(frame)
-		cm.packetsIn.Inc()
+		if rd.budget > 0 {
+			cm.prefetchFrames.Inc()
+		} else {
+			cm.packetsIn.Inc()
+		}
 		heldBefore := rcv.IntactCount()
 		seq, intact, err := rcv.AddFrame(frame)
 		if err != nil {
@@ -1143,7 +1094,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		}
 		if !intact {
 			result.PacketsCorrupted++
-			cm.packetsCorrupt.Inc()
+			if rd.budget == 0 {
+				cm.packetsCorrupt.Inc()
+			}
 		} else if rcv.IntactCount() == heldBefore {
 			result.RefetchedPackets++
 		} else if g, ok := frameGen(lo, seq); ok && g < len(doneAtStart) && doneAtStart[g] {
@@ -1168,13 +1121,13 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			}
 			opts.OnProgress(prog)
 		}
-		if intact && c.terminated(rcv, opts) {
+		if (intact && c.terminated(rcv, opts)) || (rd.budget > 0 && result.PacketsReceived >= rd.budget) {
 			// Tell the transmitter to stop, then drain to the end
 			// marker so the connection stays usable.
 			if err := c.send(ctx, Request{Op: "stop"}); err != nil {
 				return false, err
 			}
-			terminatedEarly = true
+			stopped = true
 			opts.Trace.Record(obs.Event{Type: obs.EventStop, Round: result.Rounds, Seq: seq})
 		} else if intact && fountainMode {
 			if g, _ := packet.UnpackSeq(seq); !genStopped[g] && rcv.GenerationReconstructible(g) {

@@ -1,24 +1,20 @@
 package transport
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
-	"mobweb/internal/core"
-	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 	"mobweb/internal/planner"
 )
 
-// This file is the transmitter's rateless mode: the open-loop fountain
-// stream for private fetches, and the broadcast hub that fans one cooked
-// fountain stream to any number of subscribers with zero-copy shared
-// frames. Both run until the client reports decoded generations
-// ("stopgen") or stops outright — the §4.2 retransmission rounds
-// collapse into continuous packet generation with client feedback.
+// This file holds the transmitter's rateless-mode pieces: the overshoot
+// cap, and the broadcast hub that fans one cooked fountain stream to any
+// number of subscribers with zero-copy shared frames. The streams
+// themselves run in the one send engine (stream.go) until the client
+// reports decoded generations ("stopgen") or stops outright — the §4.2
+// retransmission rounds collapse into continuous packet generation with
+// client feedback.
 
 // broadcastSubBuffer is each subscriber's frame-queue depth. A slow
 // subscriber whose queue fills simply misses packets — for a rateless
@@ -44,181 +40,6 @@ func fountainOvershootCap(m int) int {
 	return m + 64
 }
 
-// handleFountainFetch answers a fetch with the rateless codec: derive
-// (or honor) the stream seed, advertise the fountain layout, then
-// stream open-loop. Sending stays zero in the response — an open-loop
-// stream has no predetermined frame count.
-func (s *Server) handleFountainFetch(w *bufio.Writer, req Request, resolved *planner.Resolved, requests <-chan Request, injector FaultInjector) error {
-	seed := req.Seed
-	if seed == 0 {
-		seed = resolved.FountainSeed(s.opts.FountainSalt)
-	}
-	layout := resolved.Plan.FountainLayout(seed)
-	resp := Response{OK: true, Layout: &layout, Replica: s.opts.Name}
-	if mode := s.opts.Capability.Mode(); mode != CapFull {
-		resp.Capability = mode.String()
-	}
-	if err := WriteJSONLine(w, resp); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if req.Broadcast {
-		return s.streamBroadcast(w, req, resolved, seed, layout, requests, injector)
-	}
-	return s.streamFountain(w, req, resolved, seed, layout, requests, injector)
-}
-
-// fountainStreamState is the per-connection bookkeeping shared by the
-// private and broadcast stream loops.
-type fountainStreamState struct {
-	have    map[int]bool // packed (gen, seq) the client already holds
-	stopped []bool
-	sent    []int
-	caps    []int
-	active  int
-}
-
-func newFountainStreamState(req Request, layout core.Layout) *fountainStreamState {
-	gens := len(layout.Shapes)
-	st := &fountainStreamState{
-		have:    make(map[int]bool, len(req.Have)),
-		stopped: make([]bool, gens),
-		sent:    make([]int, gens),
-		caps:    make([]int, gens),
-		active:  gens,
-	}
-	for _, packed := range req.Have {
-		st.have[packed] = true
-	}
-	for g, shape := range layout.Shapes {
-		st.caps[g] = fountainOvershootCap(shape.M)
-	}
-	// Generations the client reports done are stopped before the first
-	// frame — a stopgen that arrived with the request itself.
-	for _, g := range req.DoneGens {
-		st.stopGen(g)
-	}
-	return st
-}
-
-// stopGen marks one generation done (client decoded it, or the
-// overshoot cap fired).
-func (st *fountainStreamState) stopGen(g int) {
-	if g >= 0 && g < len(st.stopped) && !st.stopped[g] {
-		st.stopped[g] = true
-		st.active--
-	}
-}
-
-// streamFountain runs a private open-loop fountain stream: round-robin
-// over generations the client has not yet decoded, skipping packets the
-// Have list says it already holds. Each frame is flushed immediately —
-// the stream only terminates through client feedback, so frames must
-// reach the decoder promptly rather than sit in the write buffer.
-func (s *Server) streamFountain(w *bufio.Writer, req Request, resolved *planner.Resolved, seed uint64, layout core.Layout, requests <-chan Request, injector FaultInjector) error {
-	plan := resolved.Plan
-	st := newFountainStreamState(req, layout)
-	cursor := make([]int, len(layout.Shapes))
-	_, cleanChannel := injector.(NopInjector)
-	useCache := resolved.Cached()
-	var frameBuf []byte
-	totalSent := 0
-stream:
-	for st.active > 0 {
-		for g := range cursor {
-			if st.stopped[g] {
-				continue
-			}
-			select {
-			case creq, ok := <-requests:
-				if !ok {
-					return io.EOF
-				}
-				switch creq.Op {
-				case "stop":
-					break stream
-				case "stopgen":
-					st.stopGen(creq.Gen)
-				default:
-					return fmt.Errorf("transport: %q request during stream", creq.Op)
-				}
-				if st.stopped[g] {
-					continue
-				}
-			default:
-			}
-			if st.sent[g] >= st.caps[g] {
-				st.stopGen(g)
-				continue
-			}
-			seq := cursor[g]
-			cursor[g]++
-			if st.have[packet.PackSeq(g, seq)] {
-				continue
-			}
-			var out []byte
-			if useCache {
-				frame, err := resolved.FountainFrame(seed, g, seq)
-				if err != nil {
-					return err
-				}
-				if cleanChannel {
-					out = frame // shared, immutable; written verbatim
-				} else {
-					frameBuf = append(frameBuf[:0], frame...)
-					var send bool
-					out, send = injector.Inject(frameBuf, packet.PackSeq(g, seq))
-					if !send {
-						st.sent[g]++
-						s.sm.framesDropped.Inc()
-						continue
-					}
-				}
-			} else {
-				var err error
-				frameBuf, err = plan.AppendFountainFrame(frameBuf[:0], seed, g, seq)
-				if err != nil {
-					return err
-				}
-				var send bool
-				out, send = injector.Inject(frameBuf, packet.PackSeq(g, seq))
-				if !send {
-					st.sent[g]++
-					s.sm.framesDropped.Inc()
-					continue
-				}
-			}
-			if err := WriteFrame(w, out); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			st.sent[g]++
-			totalSent++
-			s.sm.framesOut.Inc()
-			s.sm.fountainFrames.Inc()
-			if s.opts.PacketDelay > 0 {
-				time.Sleep(s.opts.PacketDelay)
-			}
-		}
-	}
-	s.sm.fetchLog.Record(obs.FetchRecord{
-		Doc:     req.Doc,
-		Origin:  "server",
-		Replica: s.opts.Name,
-		Sent:    totalSent,
-		Have:    len(req.Have),
-		Gamma:   req.Gamma,
-	})
-	if err := WriteEndOfStream(w); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // broadcastKey identifies one shared fan-out stream: the version-scoped
 // plan key plus the fountain seed. Subscribers of the same plan under
 // the same seed share one producer; a re-indexed document or a
@@ -226,14 +47,6 @@ stream:
 type broadcastKey struct {
 	plan string
 	seed uint64
-}
-
-// broadcastFrame is one cooked frame in flight from producer to
-// subscriber. The frame bytes are shared and immutable (framecache
-// slices); subscribers that must mutate (fault injection) copy first.
-type broadcastFrame struct {
-	gen, seq int
-	frame    []byte
 }
 
 // broadcastStream is one live fan-out: a producer goroutine plus its
@@ -247,7 +60,7 @@ type broadcastStream struct {
 // (on a cook failure tearing the stream down), at most once, under the
 // hub lock.
 type broadcastSub struct {
-	ch chan broadcastFrame
+	ch chan streamRow
 }
 
 // broadcastHub indexes the live fan-out streams.
@@ -258,9 +71,9 @@ type broadcastHub struct {
 
 // subscribeBroadcast joins (creating on first subscriber) the shared
 // stream for (plan, seed).
-func (s *Server) subscribeBroadcast(resolved *planner.Resolved, seed uint64, layout core.Layout) *broadcastSub {
+func (s *Server) subscribeBroadcast(resolved *planner.Resolved, seed uint64, gens int) *broadcastSub {
 	key := broadcastKey{plan: resolved.Key, seed: seed}
-	sub := &broadcastSub{ch: make(chan broadcastFrame, broadcastSubBuffer)}
+	sub := &broadcastSub{ch: make(chan streamRow, broadcastSubBuffer)}
 	h := &s.bcast
 	h.mu.Lock()
 	st, ok := h.streams[key]
@@ -268,7 +81,7 @@ func (s *Server) subscribeBroadcast(resolved *planner.Resolved, seed uint64, lay
 		st = &broadcastStream{key: key, subs: make(map[*broadcastSub]bool)}
 		h.streams[key] = st
 		s.sm.broadcastStreams.Add(1)
-		go s.produceBroadcast(st, resolved, seed, len(layout.Shapes))
+		go s.produceBroadcast(st, resolved, seed, gens)
 	}
 	st.subs[sub] = true
 	h.mu.Unlock()
@@ -329,11 +142,13 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 			}
 			h.mu.Unlock()
 
-			bf := broadcastFrame{gen: g, seq: seq, frame: frame}
+			// The frame bytes are shared and immutable (framecache
+			// slices); a subscriber that must mutate them copies first.
+			row := streamRow{gen: g, seq: seq, id: packet.PackSeq(g, seq), frame: frame}
 			delivered, pace := false, true
 			for _, sub := range subs {
 				select {
-				case sub.ch <- bf:
+				case sub.ch <- row:
 					delivered = true
 					s.sm.broadcastFrames.Inc()
 				default:
@@ -362,80 +177,4 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 			}
 		}
 	}
-}
-
-// streamBroadcast serves one subscriber of the shared fan-out: forward
-// frames from the producer's queue, filtering generations the client
-// decoded (stopgen) or already holds (Have), until every generation is
-// done or the client stops. The select blocks on queue and control
-// channel together, so feedback is handled the moment it arrives.
-func (s *Server) streamBroadcast(w *bufio.Writer, req Request, resolved *planner.Resolved, seed uint64, layout core.Layout, requests <-chan Request, injector FaultInjector) error {
-	st := newFountainStreamState(req, layout)
-	sub := s.subscribeBroadcast(resolved, seed, layout)
-	defer s.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
-	_, cleanChannel := injector.(NopInjector)
-	var frameBuf []byte
-	totalSent := 0
-stream:
-	for st.active > 0 {
-		select {
-		case creq, ok := <-requests:
-			if !ok {
-				return io.EOF
-			}
-			switch creq.Op {
-			case "stop":
-				break stream
-			case "stopgen":
-				st.stopGen(creq.Gen)
-			default:
-				return fmt.Errorf("transport: %q request during stream", creq.Op)
-			}
-		case bf, ok := <-sub.ch:
-			if !ok {
-				break stream // producer tore the stream down
-			}
-			g := bf.gen
-			if st.stopped[g] || st.have[packet.PackSeq(g, bf.seq)] {
-				continue
-			}
-			if st.sent[g] >= st.caps[g] {
-				st.stopGen(g)
-				continue
-			}
-			out := bf.frame
-			if !cleanChannel {
-				frameBuf = append(frameBuf[:0], bf.frame...)
-				var send bool
-				out, send = injector.Inject(frameBuf, packet.PackSeq(g, bf.seq))
-				if !send {
-					st.sent[g]++
-					s.sm.framesDropped.Inc()
-					continue
-				}
-			}
-			if err := WriteFrame(w, out); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			st.sent[g]++
-			totalSent++
-			s.sm.framesOut.Inc()
-			s.sm.fountainFrames.Inc()
-		}
-	}
-	s.sm.fetchLog.Record(obs.FetchRecord{
-		Doc:     req.Doc,
-		Origin:  "server",
-		Replica: s.opts.Name,
-		Sent:    totalSent,
-		Have:    len(req.Have),
-		Gamma:   req.Gamma,
-	})
-	if err := WriteEndOfStream(w); err != nil {
-		return err
-	}
-	return w.Flush()
 }

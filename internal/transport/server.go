@@ -388,52 +388,41 @@ func (s *Server) handleFetch(w *bufio.Writer, req Request, requests <-chan Reque
 		s.sm.fetchErrors.Inc()
 		return s.refuse(w, Response{Error: errMsg})
 	}
-	plan := resolved.Plan
 
+	// The codec picks the layout and the row source; the one send engine
+	// streams either (DESIGN.md §18).
+	var layout core.Layout
+	src := rowSource{delay: s.opts.PacketDelay}
 	if codec == erasure.CodecFountain {
 		s.sm.fountainFetches.Inc()
-		return s.handleFountainFetch(w, req, resolved, requests, injector)
-	}
-
-	have := make(map[int]bool, len(req.Have))
-	for _, seq := range req.Have {
-		have[seq] = true
-	}
-	layout := plan.Layout()
-	// Clear-prefix-only tiers stream just the systematic rows: every
-	// parity row is skipped, so no parity is ever encoded. A clean
-	// channel still reconstructs (M intact rows per generation); a lossy
-	// one pays extra retransmission rounds instead of failing.
-	clearOnly := mode.ClearPrefixOnly()
-	// Reconstructible generations reported by the client keep all their
-	// rows off the air — parity included, which Have alone cannot say.
-	var doneSeq []bool
-	if len(req.DoneGens) > 0 {
-		doneSeq = make([]bool, plan.N())
-		doneGen := make(map[int]bool, len(req.DoneGens))
-		for _, g := range req.DoneGens {
-			doneGen[g] = true
+		src.fountain, src.flushEach = true, true
+		src.seed = req.Seed
+		if src.seed == 0 {
+			src.seed = resolved.FountainSeed(s.opts.FountainSalt)
 		}
-		off := 0
-		for g, shape := range layout.Shapes {
-			if doneGen[g] {
-				for i := 0; i < shape.N; i++ {
-					doneSeq[off+i] = true
-				}
+		layout = resolved.Plan.FountainLayout(src.seed)
+	} else {
+		layout = resolved.Plan.Layout()
+	}
+	st := newStreamState(req, layout, src.fountain)
+	// Sending announces a fixed-rate stream's frame count; an open-loop
+	// fountain stream has none, so it stays zero.
+	resp := Response{OK: true, Layout: &layout, Replica: s.opts.Name}
+	if src.fountain {
+		src.next = fountainRows(&st)
+	} else {
+		// Clear-prefix-only tiers stream just the systematic rows: every
+		// parity row is skipped, so no parity is ever encoded. A clean
+		// channel still reconstructs (M intact rows per generation); a
+		// lossy one pays extra retransmission rounds instead of failing.
+		src.next = fixedRows(layout, mode.ClearPrefixOnly(), &st)
+		probe := fixedRows(layout, mode.ClearPrefixOnly(), &st)
+		for row, ok := probe(); ok; row, ok = probe() {
+			if !st.have[row.id] {
+				resp.Sending++
 			}
-			off += shape.N
 		}
 	}
-	skip := func(seq int) bool {
-		return have[seq] || (doneSeq != nil && doneSeq[seq]) || (clearOnly && !layout.IsClear(seq))
-	}
-	sending := 0
-	for seq := 0; seq < plan.N(); seq++ {
-		if !skip(seq) {
-			sending++
-		}
-	}
-	resp := Response{OK: true, Layout: &layout, Sending: sending, Replica: s.opts.Name}
 	if mode != CapFull {
 		resp.Capability = mode.String()
 	}
@@ -443,93 +432,14 @@ func (s *Server) handleFetch(w *bufio.Writer, req Request, requests <-chan Reque
 	if err := w.Flush(); err != nil {
 		return err
 	}
-
-	// Frames come from the shared frame cache when it is enabled: the
-	// slices are shared across connections and immutable, so the clean
-	// path writes them straight to the socket with no per-connection
-	// marshal or copy. Injectors may corrupt frames in place, so any
-	// injector other than the no-op first copies the cached bytes into
-	// this connection's private frameBuf — never append-in-place on a
-	// shared slice. With the cache disabled, the pre-cache path remains:
-	// AppendFrame rebuilds the frame into frameBuf each iteration, which
-	// also keeps a previous in-place corruption from leaking forward.
-	var frameBuf []byte
-	_, cleanChannel := injector.(NopInjector)
-	useCache := resolved.Cached()
-	sent := 0
-stream:
-	for seq := 0; seq < plan.N(); seq++ {
-		if skip(seq) {
-			continue
-		}
-		// A stop Request aborts the stream; connection closure (reader
-		// channel closed) aborts the whole handler.
-		select {
-		case req, ok := <-requests:
-			if !ok {
-				return io.EOF
-			}
-			if req.Op == "stop" {
-				break stream
-			}
-			// Any other mid-stream request is a protocol violation.
-			return fmt.Errorf("transport: %q request during stream", req.Op)
-		default:
-		}
-		var out []byte
-		if useCache {
-			frame, err := resolved.Frame(seq)
-			if err != nil {
-				return err
-			}
-			if cleanChannel {
-				out = frame // shared, immutable; written verbatim
-			} else {
-				frameBuf = append(frameBuf[:0], frame...)
-				var send bool
-				out, send = injector.Inject(frameBuf, seq)
-				if !send {
-					s.sm.framesDropped.Inc()
-					continue
-				}
-			}
-		} else {
-			var err error
-			frameBuf, err = plan.AppendFrame(frameBuf[:0], seq)
-			if err != nil {
-				return err
-			}
-			var send bool
-			out, send = injector.Inject(frameBuf, seq)
-			if !send {
-				s.sm.framesDropped.Inc()
-				continue
-			}
-		}
-		if err := WriteFrame(w, out); err != nil {
-			return err
-		}
-		sent++
-		s.sm.framesOut.Inc()
-		if s.opts.PacketDelay > 0 {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			time.Sleep(s.opts.PacketDelay)
-		}
+	if src.fountain && req.Broadcast {
+		// A broadcast subscriber takes its rows from the shared producer,
+		// which paces the carousel itself.
+		sub := s.subscribeBroadcast(resolved, src.seed, len(layout.Shapes))
+		defer s.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: src.seed}, sub)
+		src.next, src.queue, src.delay = nil, sub.ch, 0
 	}
-	s.sm.fetchLog.Record(obs.FetchRecord{
-		Doc:     req.Doc,
-		Origin:  "server",
-		Replica: s.opts.Name,
-		Sent:    sent,
-		Have:    len(req.Have),
-		Gamma:   req.Gamma,
-	})
-	if err := WriteEndOfStream(w); err != nil {
-		return err
-	}
-	return w.Flush()
+	return s.stream(w, req, resolved, src, &st, requests, injector)
 }
 
 // DecodeRequest parses one JSON control line. It is the single entry
